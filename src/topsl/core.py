@@ -139,6 +139,7 @@ class FiniteSemilattice(FiniteSemigroup):
     """A commutative idempotent (associative) operation table."""
 
     def __post_init__(self):
+        super().__post_init__()
         bad = verify_semilattice(self.table)
         if bad:
             law, witness = bad[0]

@@ -1,8 +1,18 @@
 """Finite topologies on the carrier 0..n-1.
 
-A topology is a canonically sorted tuple of open-set bitmasks.  Canonical
-form means: ascending by bitmask value, no duplicates.  Equality of
-topologies is plain tuple equality.
+A topology is a canonically sorted tuple of open-set bitmasks, `opens`.
+Canonical form means: ascending by bitmask value, no duplicates.  `opens` is
+the one field, so equality, hashing and repr are those of the tuple.
+
+Every point x of a finite space has a smallest open set M_x, the
+intersection of the opens that contain x, and every open set is the union
+of the M_x of its points (Alexandrov 1937; Stong 1966).  Construction
+derives the tuple `minimal` = (M_0, ..., M_{n-1}) once.  A canonical family
+of k subsets of the carrier is then a topology exactly when it contains the
+empty set, the full set, every M_x, and u | M_x for every open u and every
+point x: every intersection of opens is a union of M_x.  That check costs
+O(k*n) set lookups, against O(k*k) for checking every pair.  Generation,
+products, closure and interior all work from `minimal`.
 """
 
 from __future__ import annotations
@@ -13,8 +23,25 @@ from dataclasses import dataclass
 from .core import bits, full_mask, mask_of, subsets
 
 
+def _minimal(n: int, sets) -> tuple[int, ...]:
+    """For each point, the AND of the given sets that contain it (the full
+    set when none does)."""
+    sets = list(sets)
+    out = []
+    for x in range(n):
+        bit, m = 1 << x, full_mask(n)
+        for s in sets:
+            if s & bit:
+                m &= s
+        out.append(m)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class FiniteTopology:
+    """Open sets in canonical form; `minimal[x]` (not a field) is the
+    smallest open set containing x."""
+
     n: int
     opens: tuple[int, ...]
 
@@ -27,16 +54,22 @@ class FiniteTopology:
             raise ValueError("missing empty set")
         if full not in opens:
             raise ValueError("missing full set")
-        present = set(opens)
-        for a, b in itertools.combinations(opens, 2):
-            if a | b not in present:
-                raise ValueError(f"missing union of {a:#x} and {b:#x}")
-            if a & b not in present:
-                raise ValueError(f"missing intersection of {a:#x} and {b:#x}")
         for u in opens:
             if u & ~full:
                 raise ValueError(f"open set {u:#x} leaves the carrier")
-        object.__setattr__(self, "_open_set", frozenset(opens))
+        present = frozenset(opens)
+        minimal = _minimal(n, opens)
+        for x, m in enumerate(minimal):
+            if m not in present:
+                raise ValueError(
+                    f"missing intersection {m:#x} of the open sets around {x}"
+                )
+        for u in opens:
+            for m in minimal:
+                if u | m not in present:
+                    raise ValueError(f"missing union of {u:#x} and {m:#x}")
+        object.__setattr__(self, "_open_set", present)
+        object.__setattr__(self, "minimal", minimal)
 
     def is_open(self, s: int) -> bool:
         return s in self._open_set
@@ -61,45 +94,44 @@ def indiscrete(n: int) -> FiniteTopology:
     return canonical(n, [0, full_mask(n)])
 
 
+def _union_closure(n: int, minimal) -> FiniteTopology:
+    """The topology whose minimal neighbourhoods are `minimal`: every union
+    of them, found by a walk from the empty set over u | M_x."""
+    minimal = set(minimal)
+    opens = {0}
+    frontier = [0]
+    while frontier:
+        u = frontier.pop()
+        for m in minimal:
+            v = u | m
+            if v not in opens:
+                opens.add(v)
+                frontier.append(v)
+    return canonical(n, opens)
+
+
 def generate_topology(n: int, subbase) -> FiniteTopology:
-    """Smallest topology containing the given subbase sets."""
+    """Smallest topology containing the given subbase sets.  Its M_x is the
+    AND of the subbase sets that contain x."""
     full = full_mask(n)
     for s in subbase:
         if s & ~full:
             raise ValueError(f"subbase set {s:#x} leaves the carrier")
-    # finite intersections of subbase sets (empty intersection = full set)
-    inters = {full}
-    for s in subbase:
-        inters |= {s & t for t in inters}
-    # arbitrary unions, to a fixpoint
-    opens = set(inters)
-    opens.add(0)
-    grew = True
-    while grew:
-        grew = False
-        for a, b in itertools.combinations(sorted(opens), 2):
-            u = a | b
-            if u not in opens:
-                opens.add(u)
-                grew = True
-    return canonical(n, opens)
+    return _union_closure(n, _minimal(n, subbase))
 
 
 def hull(top: FiniteTopology, s: int, mode: str) -> int:
-    """Closure (smallest closed superset) or interior (largest open subset)."""
+    """Closure (smallest closed superset) or interior (largest open subset):
+    closure(s) = {x : M_x meets s}, interior(s) = union of the M_x within s."""
     if s & ~full_mask(top.n):
         raise ValueError("subset leaves the carrier")
     if mode == "closure":
-        out = full_mask(top.n)
-        for c in top.closed_sets():
-            if s & ~c == 0:
-                out &= c
-        return out
+        return mask_of(x for x, m in enumerate(top.minimal) if m & s)
     if mode == "interior":
         out = 0
-        for u in top.opens:
-            if u & ~s == 0:
-                out |= u
+        for m in top.minimal:
+            if m & ~s == 0:
+                out |= m
         return out
     raise ValueError(f"mode must be 'closure' or 'interior', got {mode!r}")
 
@@ -141,11 +173,8 @@ def separation_profile(top: FiniteTopology) -> SeparationProfile:
 
 
 def specialization_preorder(top: FiniteTopology) -> tuple[int, ...]:
-    """Row masks rel[x] = {y : x lies in the closure of {y}}."""
-    cl = [closure(top, 1 << y) for y in range(top.n)]
-    return tuple(
-        mask_of(y for y in range(top.n) if cl[y] >> x & 1) for x in range(top.n)
-    )
+    """Row masks rel[x] = {y : x lies in the closure of {y}}, which is M_x."""
+    return top.minimal
 
 
 def subspace(top: FiniteTopology, carrier_subset: int) -> FiniteTopology:
@@ -179,8 +208,9 @@ def product(top1: FiniteTopology, top2: FiniteTopology) -> FiniteTopology:
     n = top1.n * top2.n
     if n > 144:
         raise ValueError(f"product carrier {n} exceeds the supported bound 144")
-    base = [box_mask(u, v, top2.n) for u in top1.opens for v in top2.opens]
-    return generate_topology(n, base)
+    # the minimal neighbourhood of the pair (x, y) is the box M_x x M_y
+    boxes = [box_mask(a, b, top2.n) for a in top1.minimal for b in top2.minimal]
+    return _union_closure(n, boxes)
 
 
 @dataclass(frozen=True)

@@ -98,13 +98,16 @@ def translations_continuous(x_instance: TopologizedSemigroup) -> bool:
 
 def continuity_profile(x_instance: TopologizedSemigroup) -> ContinuityProfile:
     alg, top = x_instance.algebra, x_instance.topology
-    n = alg.n
-    # joint continuity against the self-product topology
-    prod = topo.product(top, top)
-    op_map = [
-        alg.table[i][j] for i in range(n) for j in range(n)
-    ]  # pair index i*n + j
-    topological = all(prod.is_open(preimage(op_map, u, n * n)) for u in top.opens)
+    t, m = alg.table, top.minimal
+    # the operation is jointly continuous at (x, y) iff it maps the smallest
+    # neighbourhood M_x x M_y of the pair into the smallest one of xy
+    topological = all(
+        m[t[x][y]] >> t[a][b] & 1
+        for x in range(alg.n)
+        for y in range(alg.n)
+        for a in bits(m[x])
+        for b in bits(m[y])
+    )
     semitopological = translations_continuous(x_instance)
     subtopological = True
     for s in enumerate_subsemigroups(x_instance, closed_only=False):

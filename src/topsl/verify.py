@@ -135,6 +135,19 @@ def saturate_family(n: int, seeds) -> tuple[int, ...]:
     return tuple(sorted(fam))
 
 
+def joint_continuity_via_product(inst: tsl.TopologizedSemigroup) -> bool:
+    """Whether the operation is continuous from the self-product topology,
+    generated by the boxes U x V of open sets: the preimage of every open set
+    must be open.  Literal route, kept as the oracle for the topological flag
+    of tsl.continuity_profile."""
+    alg, top = inst.algebra, inst.topology
+    n = alg.n
+    boxes = [topo.box_mask(u, v, n) for u in top.opens for v in top.opens]
+    prod = topo.generate_topology(n * n, boxes)
+    op_map = [alg.table[i][j] for i in range(n) for j in range(n)]
+    return all(prod.is_open(tsl.preimage(op_map, u, n * n)) for u in top.opens)
+
+
 def brute_force_topology_count(n: int) -> int:
     """Count union/intersection-closed subset families containing the empty
     and full sets, by scanning all 2**(2**n) candidate families (n <= 4)."""
@@ -883,14 +896,11 @@ PRODUCT_RULE_IDS = (
 
 MAIN_RULE_ID = "compact_hausdorff.all_equivalent"
 
+# rules evaluated by the per-instance loop of the sweep
+INSTANCE_RULE_IDS = tuple(r.id for r in PER_INSTANCE_RULES) + SUB_RULE_IDS
+
 ALL_RULE_IDS = tuple(
-    sorted(
-        [r.id for r in PER_INSTANCE_RULES]
-        + list(SUB_RULE_IDS)
-        + list(HOM_RULE_IDS)
-        + list(PRODUCT_RULE_IDS)
-        + [MAIN_RULE_ID]
-    )
+    sorted(INSTANCE_RULE_IDS + HOM_RULE_IDS + PRODUCT_RULE_IDS + (MAIN_RULE_ID,))
 )
 
 
@@ -1173,7 +1183,9 @@ def sweep(
                 partial.setdefault(rule_id, RuleStats()).merge(rs)
         return partial
 
-    if threads == 1:
+    if not any(_want(rule_ids, rid) for rid in INSTANCE_RULE_IDS):
+        shards = []
+    elif threads == 1:
         shards = [run_shard(0)]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from topsl import cli, topo, verify
+from topsl import cli, topo, tsl, verify
 from topsl.core import FinitePoset, FiniteSemilattice, natural_order
 
 SIERPINSKI_DOC = {
@@ -125,6 +125,32 @@ def test_cmd_check_json(instance_file, capsys):
     assert report["properties"]["i_weak"] is False
     assert report["topologies"]["weak"] == [[], ["z", "u"]]
     assert len(report["inclusion"]) == 7
+
+
+@pytest.mark.parametrize(
+    "x, topological",
+    [
+        # the discrete 4-point min-chain
+        (tsl.chain_semilattice(4), True),
+        # 12 opens: every subset of {0, 1, 2}, and 3 only together with 0
+        (
+            tsl.TopologizedSemigroup(
+                tsl.chain_semilattice(4).algebra,
+                topo.generate_topology(4, [0b0001, 0b0010, 0b0100, 0b1001]),
+            ),
+            False,
+        ),
+    ],
+)
+def test_cmd_check_dense_four_point_instances(x, topological, tmp_path, capsys):
+    # dense tau: its self-product has 65,536 and 7,776 opens
+    assert len(x.topology.opens) in (12, 16)
+    assert verify.joint_continuity_via_product(x) is topological
+    path = tmp_path / "dense.json"
+    path.write_text(cli.serialize(x))
+    assert cli.main(["check", str(path), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["properties"]["topological"] is topological
 
 
 def test_cmd_derive(instance_file, capsys):

@@ -71,6 +71,9 @@ def test_malformed_tables_rejected():
         FiniteSemigroup.from_rows([[0, 2], [1, 0]])
     with pytest.raises(NotASemilatticeError):
         FiniteSemilattice(2, ((0, 1), (1, 0)))
+    # the semilattice constructor runs the base checks too
+    with pytest.raises(MalformedTableError, match="carrier size"):
+        FiniteSemilattice(5, ((0,),))
 
 
 def test_semigroup_classification_flags():

@@ -3,10 +3,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topsl import topo
-from topsl.core import full_mask, subsets
+from topsl.core import bits, full_mask, mask_of, subsets
 from topsl.verify import enumerate_topologies, saturate_family
 
 SIERPINSKI = topo.canonical(2, [0, 0b10, 0b11])
+TOPOLOGIES_UP_TO_4 = {n: enumerate_topologies(n) for n in (1, 2, 3, 4)}
 
 
 def test_validation_catches_missing_sets():
@@ -16,8 +17,27 @@ def test_validation_catches_missing_sets():
         topo.FiniteTopology(2, (0, 1))
     with pytest.raises(ValueError, match="missing union"):
         topo.FiniteTopology(3, (0, 1, 2, 7))
+    with pytest.raises(ValueError, match="missing intersection"):
+        topo.FiniteTopology(3, (0, 0b011, 0b110, 0b111))
     with pytest.raises(ValueError, match="canonical"):
         topo.FiniteTopology(2, (0, 3, 1))
+
+
+def test_validation_accepts_exactly_the_saturated_families():
+    # every family of subsets of a 3-point carrier with the empty and full sets
+    full = full_mask(3)
+    middle = range(1, full)
+    accepted = 0
+    for pick in range(1 << len(middle)):
+        chosen = {s for i, s in enumerate(middle) if pick >> i & 1}
+        fam = tuple(sorted(chosen | {0, full}))
+        if saturate_family(3, fam) == fam:
+            assert topo.FiniteTopology(3, fam).opens == fam
+            accepted += 1
+        else:
+            with pytest.raises(ValueError):
+                topo.FiniteTopology(3, fam)
+    assert accepted == 29
 
 
 def test_membership_queries():
@@ -59,6 +79,40 @@ def test_closure_interior_duality():
             assert topo.closure(top, s) == full ^ topo.interior(top, full ^ s)
             assert topo.interior(top, s) & ~s == 0
             assert topo.closure(top, s) & s == s
+
+
+def test_closure_and_interior_match_literal_scans():
+    for n in (1, 2, 3):
+        for top in enumerate_topologies(n):
+            for s in subsets(n):
+                smallest_closed = full_mask(n)
+                for c in top.closed_sets():
+                    if s & ~c == 0:
+                        smallest_closed &= c
+                largest_open = 0
+                for u in top.opens:
+                    if u & ~s == 0:
+                        largest_open |= u
+                assert topo.closure(top, s) == smallest_closed
+                assert topo.interior(top, s) == largest_open
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_minimal_neighbourhoods_follow_relabeling(data):
+    n = data.draw(st.integers(1, 4))
+    top = data.draw(st.sampled_from(TOPOLOGIES_UP_TO_4[n]))
+    perm = data.draw(st.permutations(range(n)))
+
+    def move(s):
+        return mask_of(perm[i] for i in bits(s))
+
+    moved = topo.canonical(n, [move(u) for u in top.opens])
+    for x in range(n):
+        assert moved.minimal[perm[x]] == move(top.minimal[x])
+        around_x = [u for u in top.opens if u >> x & 1]
+        assert top.minimal[x] in around_x
+        assert all(top.minimal[x] & ~u == 0 for u in around_x)
 
 
 def test_hull_validation():
@@ -108,6 +162,15 @@ def test_subspace():
 def test_product_of_discretes_is_discrete():
     assert topo.product(topo.discrete(2), topo.discrete(2)) == topo.discrete(4)
     assert topo.product(SIERPINSKI, topo.discrete(1)) == SIERPINSKI
+
+
+def test_product_matches_generated_box_base():
+    for a in TOPOLOGIES_UP_TO_4[1] + TOPOLOGIES_UP_TO_4[2]:
+        for n in (1, 2, 3):
+            for b in TOPOLOGIES_UP_TO_4[n]:
+                base = [topo.box_mask(u, v, b.n) for u in a.opens for v in b.opens]
+                expected = topo.generate_topology(a.n * b.n, base)
+                assert topo.product(a, b) == expected
 
 
 def test_product_box_openness():

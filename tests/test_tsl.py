@@ -1,7 +1,14 @@
+import itertools
+
 import pytest
 
-from topsl import topo, tsl
-from topsl.core import FiniteSemigroup, FiniteSemilattice, NotASemilatticeError
+from topsl import topo, tsl, verify
+from topsl.core import (
+    FiniteSemigroup,
+    FiniteSemilattice,
+    NotASemilatticeError,
+    verify_semigroup,
+)
 
 MIN2 = FiniteSemilattice(2, ((0, 0), (0, 1)))
 Z2 = FiniteSemigroup.from_rows([[0, 1], [1, 0]])
@@ -101,3 +108,36 @@ def test_enumerate_chain_homs_respect_topology():
     assert [h.mapping for h in homs] == [(0, 0)]
     with pytest.raises(ValueError):
         tsl.enumerate_chain_homs(inst(MIN2, topo.discrete(2)), k_max=3)
+
+
+def _topological_matches_product_oracle(x):
+    assert tsl.continuity_profile(x).topological == verify.joint_continuity_via_product(x)
+
+
+def test_topological_matches_product_oracle_on_universe_3():
+    for x in verify.universe(3):
+        _topological_matches_product_oracle(x)
+
+
+def test_topological_matches_product_oracle_on_small_semigroups():
+    # joint continuity via minimal neighbourhoods needs no semilattice laws
+    checked = 0
+    for n in (1, 2):
+        for flat in itertools.product(range(n), repeat=n * n):
+            table = tuple(flat[i * n : (i + 1) * n] for i in range(n))
+            if verify_semigroup(table):
+                continue
+            alg = FiniteSemigroup(n, table)
+            if alg.is_semilattice:
+                continue
+            for top in verify.enumerate_topologies(n):
+                _topological_matches_product_oracle(inst(alg, top))
+                checked += 1
+    assert checked == 6 * 4
+
+
+def test_topological_matches_product_oracle_on_sparse_4_point():
+    tops = [t for t in verify.enumerate_topologies(4) if len(t.opens) <= 6]
+    for sl in verify.enumerate_semilattices(4):
+        for top in tops:
+            _topological_matches_product_oracle(inst(sl, top))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topsl import cli, props, topo, tsl, verify
+from topsl import cli, props, topo, tsl, verify, weak
 from topsl.core import FiniteSemigroup, FiniteSemilattice
 
 MIN2 = FiniteSemilattice(2, ((0, 0), (0, 1)))
@@ -95,6 +95,33 @@ def test_sweep_rule_filter_and_validation():
         verify.sweep(2, rule_ids=["nope"])
     with pytest.raises(ValueError):
         verify.sweep(4)
+
+
+def test_sweep_skips_instance_loop_for_cross_instance_rules(monkeypatch):
+    full = verify.sweep(3)
+    in_hom, outside_hom = [False], [0]
+    hom_phase, topology_comparison = verify._hom_phase, weak.topology_comparison
+
+    def traced_hom_phase(*args):
+        in_hom[0] = True
+        try:
+            return hom_phase(*args)
+        finally:
+            in_hom[0] = False
+
+    def counted_comparison(x):
+        outside_hom[0] += not in_hom[0]
+        return topology_comparison(x)
+
+    monkeypatch.setattr(verify, "_hom_phase", traced_hom_phase)
+    monkeypatch.setattr(weak, "topology_comparison", counted_comparison)
+    only = verify.sweep(3, rule_ids=["hom.weak_continuity"])
+    assert outside_hom[0] == 0
+    assert only.rules == {"hom.weak_continuity": full.rules["hom.weak_continuity"]}
+    line = next(
+        ln for ln in full.render().splitlines() if ln.startswith("rule hom.weak_continuity:")
+    )
+    assert line in only.render().splitlines()
 
 
 def test_sweep_render_is_stable():
