@@ -287,6 +287,14 @@ def _cmd_derive(args) -> int:
             print("error: --topology generated requires --subbase", file=sys.stderr)
             return USAGE_EXIT
         raw = json.loads(_read_file(args.subbase))
+        if not isinstance(raw, list) or not all(
+            isinstance(u, list) and all(isinstance(v, str) for v in u) for u in raw
+        ):
+            print(
+                "error: subbase must be a list of lists of element names",
+                file=sys.stderr,
+            )
+            return VALIDATION_EXIT
         index = {name: i for i, name in enumerate(names)}
         try:
             seeds = [mask_of(index[v] for v in u) for u in raw]

@@ -11,9 +11,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-MAX_CARRIER = 12
-
-
 class MalformedTableError(ValueError):
     """Operation table has the wrong shape or an out-of-range entry."""
 
@@ -47,6 +44,20 @@ def mask_of(elems: Iterable[int]) -> int:
     for e in elems:
         m |= 1 << e
     return m
+
+
+def derived(value, fn):
+    """fn(value), computed once per object and kept on the object.
+
+    For the immutable algebras and posets of this package: what is derived
+    from one never goes stale, and it is dropped together with the object,
+    so nothing outlives the values a caller holds.  Threads that race on the
+    same value may each compute it; the results are equal.
+    """
+    memo = vars(value).setdefault("_derived", {})
+    if fn not in memo:
+        memo[fn] = fn(value)
+    return memo[fn]
 
 
 def subsets(n: int) -> range:
@@ -198,16 +209,16 @@ class FinitePoset:
             self.comparable(x, y) for x, y in itertools.combinations(elems, 2)
         )
 
-    def maximal_chains(self) -> list[int]:
+    def maximal_chains(self) -> tuple[int, ...]:
         """Bitmasks of the maximal chains (chains not properly extendable)."""
         chains = [s for s in subsets(self.n) if s and self.is_chain_set(s)]
-        out = []
-        for c in chains:
+        return tuple(
+            c
+            for c in chains
             if not any(
                 self.is_chain_set(c | 1 << z) for z in range(self.n) if not c >> z & 1
-            ):
-                out.append(c)
-        return out
+            )
+        )
 
 
 def natural_order(band: FiniteSemigroup) -> FinitePoset:

@@ -13,6 +13,7 @@ from .core import (
     bound_extremum,
     chain_and_directed,
     cone,
+    derived,
     full_mask,
     is_linear,
     is_shift_homomorphic,
@@ -32,7 +33,7 @@ def uvw_profile(x_instance: tsl.TopologizedSemigroup) -> UVWProfile:
     alg, top = x_instance.algebra, x_instance.topology
     if not alg.is_semilattice:
         raise NotASemilatticeError("U/W/V profile needs a semilattice")
-    poset = natural_order(alg)
+    poset = derived(alg, natural_order)
     n = alg.n
     int_up = [topo.interior(top, poset.up[v]) for v in range(n)]
 
@@ -167,7 +168,7 @@ def is_meet_continuous(sl) -> bool:
     On a finite semilattice every up-directed set contains its maximum, so
     this is always true; the literal scan is kept.
     """
-    poset = natural_order(sl)
+    poset = derived(sl, natural_order)
     n = sl.n
     for d in subsets(n):
         if not d or not chain_and_directed(poset, d).is_up_directed:
@@ -187,21 +188,11 @@ def is_meet_continuous(sl) -> bool:
 def zar_compact_centered(x_instance: tsl.TopologizedSemigroup) -> bool:
     """Every centered family of closed subsemigroups has nonempty intersection.
 
-    Over a finite carrier a family's total intersection is achieved by some
-    subfamily of at most n + 1 members, so those suffice.
+    Always true here: a family of subsets of a finite carrier is itself
+    finite, so a centered family meets in its total intersection, which is
+    therefore nonempty.  verify.zar_compact_centered_by_scan is the literal
+    scan, kept as the oracle.
     """
-    n = x_instance.n
-    family = [
-        f for f in tsl.enumerate_subsemigroups(x_instance, closed_only=True) if f
-    ]
-    if not family:
-        return True
-    cap = min(len(family), n + 1)
-    for r in range(1, cap + 1):
-        for combo in itertools.combinations(family, r):
-            report = topo.centered_family_report(n, combo)
-            if report.is_centered and not report.total_intersection:
-                return False
     return True
 
 
@@ -275,9 +266,9 @@ def property_vector(
         weak_circ=comparison.weak_circ,
         weak_bullet=comparison.weak_bullet,
         i_weak=comparison.i_weak,
-        meet_continuous=is_meet_continuous(alg),
-        linear=is_linear(alg),
-        shift_homomorphic=is_shift_homomorphic(alg),
+        meet_continuous=derived(alg, is_meet_continuous),
+        linear=derived(alg, is_linear),
+        shift_homomorphic=derived(alg, is_shift_homomorphic),
         zar_compact_centered=zar_compact_centered(x_instance),
         t0=sep.t0,
         t1=sep.t1,

@@ -13,6 +13,7 @@ from .core import (
     NotASemilatticeError,
     bits,
     bound_extremum,
+    derived,
     mask_of,
     natural_order,
     subsets,
@@ -151,7 +152,7 @@ def order_profile(x_instance: TopologizedSemigroup) -> OrderProfile:
     alg, top = x_instance.algebra, x_instance.topology
     if not alg.is_semilattice:
         raise NotASemilatticeError("order profile needs a semilattice")
-    poset = natural_order(alg)
+    poset = derived(alg, natural_order)
     n = alg.n
     updown = all(
         top.is_closed(poset.up[x]) and top.is_closed(poset.down(x)) for x in range(n)

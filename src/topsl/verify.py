@@ -17,7 +17,7 @@ import hashlib
 import itertools
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from typing import Callable, Optional
 
@@ -28,6 +28,7 @@ from .core import (
     bits,
     bound_extremum,
     cone,
+    derived,
     full_mask,
     is_shift_homomorphic,
     mask_of,
@@ -146,6 +147,21 @@ def joint_continuity_via_product(inst: tsl.TopologizedSemigroup) -> bool:
     prod = topo.generate_topology(n * n, boxes)
     op_map = [alg.table[i][j] for i in range(n) for j in range(n)]
     return all(prod.is_open(tsl.preimage(op_map, u, n * n)) for u in top.opens)
+
+
+def zar_compact_centered_by_scan(inst: tsl.TopologizedSemigroup) -> bool:
+    """Literal route for props.zar_compact_centered: scan the subfamilies of
+    the nonempty closed subsemigroups for a centered one with empty total
+    intersection.  Over a finite carrier a family's total intersection is
+    achieved by some subfamily of at most n + 1 members, so those suffice."""
+    n = inst.n
+    family = [f for f in tsl.enumerate_subsemigroups(inst, closed_only=True) if f]
+    for r in range(1, min(len(family), n + 1) + 1):
+        for combo in itertools.combinations(family, r):
+            report = topo.centered_family_report(n, combo)
+            if report.is_centered and not report.total_intersection:
+                return False
+    return True
 
 
 def brute_force_topology_count(n: int) -> int:
@@ -417,6 +433,7 @@ def product_audit(
 class InstanceContext:
     inst: tsl.TopologizedSemigroup
     poset: FinitePoset
+    chains: tuple[int, ...]  # the maximal chains of poset
     comp: weak.ComparisonReport
     pv: dict
 
@@ -541,7 +558,7 @@ def _check_open_upper_scott(ctx: InstanceContext) -> list[str]:
 def _check_maxchain_extrema(ctx: InstanceContext) -> list[str]:
     poset = ctx.poset
     out = []
-    for m in poset.maximal_chains():
+    for m in ctx.chains:
         for c in _submasks(m):
             lo = bound_extremum(poset, c, "inf")
             hi = bound_extremum(poset, c, "sup")
@@ -556,7 +573,7 @@ def _check_scott_gap(ctx: InstanceContext) -> list[str]:
     poset = ctx.poset
     out = []
     for u in ctx.comp.bundle.scott.opens:
-        for m in poset.maximal_chains():
+        for m in ctx.chains:
             gap = m & ~u
             if not gap:
                 continue
@@ -572,7 +589,7 @@ def _check_down_trace(ctx: InstanceContext) -> list[str]:
     poset = ctx.poset
     out = []
     for x in range(ctx.inst.n):
-        for m in poset.maximal_chains():
+        for m in ctx.chains:
             trace = m & poset.down(x)
             if not trace:
                 continue
@@ -586,7 +603,7 @@ def _check_up_trace(ctx: InstanceContext) -> list[str]:
     poset = ctx.poset
     out = []
     for x in range(ctx.inst.n):
-        for m in poset.maximal_chains():
+        for m in ctx.chains:
             trace = m & poset.up[x]
             if not trace:
                 continue
@@ -604,8 +621,9 @@ def _check_shift_identities(ctx: InstanceContext) -> list[str]:
         and is_homomorphism(alg, alg, [t[x][a] for x in range(alg.n)])
         for a in range(alg.n)
     )
-    if literal != is_shift_homomorphic(alg):
-        return [f"shift identities ({is_shift_homomorphic(alg)}) vs literal ({literal})"]
+    identities = derived(alg, is_shift_homomorphic)
+    if literal != identities:
+        return [f"shift identities ({identities}) vs literal ({literal})"]
     return []
 
 
@@ -957,15 +975,62 @@ def universe(n_max: int):
     return out
 
 
+class SweepMemo:
+    """What one sweep computes once: the comparison report of each distinct
+    instance, and the order data of each distinct semilattice table, derived
+    (core.derived) on the one algebra object the memo keeps for that table.
+    Equal topologies and inclusion rows recur across the reports, and the
+    memo keeps one object for each, which holds its memory down.
+
+    Owned by one sweep() call and dropped when it returns.  The shards of a
+    threaded sweep share it; two threads that miss the same entry at once
+    both compute it, and the equal results make the race harmless.
+    """
+
+    def __init__(self):
+        self.shared: dict = {}
+        self.comparisons: dict = {}
+
+    def _one(self, value):
+        """The object this memo keeps for the values equal to value."""
+        return self.shared.setdefault(value, value)
+
+    def instance(self, inst: tsl.TopologizedSemigroup) -> tsl.TopologizedSemigroup:
+        """inst on the algebra object this memo keeps for its table."""
+        alg = self._one(inst.algebra)
+        if alg is inst.algebra:
+            return inst
+        return tsl.TopologizedSemigroup(alg, inst.topology)
+
+    def comparison(self, inst: tsl.TopologizedSemigroup) -> weak.ComparisonReport:
+        comp = self.comparisons.get(inst)
+        if comp is None:
+            # through the module attribute, so that a wrapper sees each
+            # computation that is not a hit
+            comp = weak.topology_comparison(self.instance(inst))
+            bundle = weak.TopologyBundle(
+                **{name: self._one(t) for name, t in comp.bundle.as_dict().items()}
+            )
+            inclusion = tuple(self._one(row) for row in comp.inclusion)
+            comp = replace(comp, bundle=bundle, inclusion=inclusion)
+            self.comparisons[inst] = comp
+        return comp
+
+
 def _want(rule_ids, rule_id: str) -> bool:
     return rule_ids is None or rule_id in rule_ids
 
 
-def _evaluate_instance(inst: tsl.TopologizedSemigroup, rule_ids) -> dict:
+def _evaluate_instance(
+    inst: tsl.TopologizedSemigroup, rule_ids, memo: SweepMemo
+) -> dict:
     stats = {}
-    comp = weak.topology_comparison(inst)
+    inst = memo.instance(inst)
+    comp = memo.comparison(inst)
     pv = props.property_vector(inst, comp).as_dict()
-    ctx = InstanceContext(inst, natural_order(inst.algebra), comp, pv)
+    poset = derived(inst.algebra, natural_order)
+    chains = derived(poset, FinitePoset.maximal_chains)
+    ctx = InstanceContext(inst, poset, chains, comp, pv)
     where = _describe(inst)
     for rule in PER_INSTANCE_RULES:
         if not _want(rule_ids, rule.id):
@@ -978,16 +1043,15 @@ def _evaluate_instance(inst: tsl.TopologizedSemigroup, rule_ids) -> dict:
         else:
             s.vacuous += 1
     if any(_want(rule_ids, rid) for rid in SUB_RULE_IDS):
-        _evaluate_sub_rules(inst, comp, pv, stats, rule_ids, where)
+        _evaluate_sub_rules(inst, comp, pv, stats, rule_ids, where, memo)
     return stats
 
 
-def _evaluate_sub_rules(inst, comp, pv, stats, rule_ids, where) -> None:
+def _evaluate_sub_rules(inst, comp, pv, stats, rule_ids, where, memo) -> None:
     for s_mask in tsl.enumerate_subsemigroups(inst):
         if not s_mask:
             continue
-        sub = sub_instance(inst, s_mask)
-        sub_comp = weak.topology_comparison(sub)
+        sub_comp = memo.comparison(sub_instance(inst, s_mask))
         for rule_id, parent_flag, sub_flag in (
             ("sub.weak_circ_inherited", comp.weak_circ, sub_comp.weak_circ),
             ("sub.weak_bullet_inherited", comp.weak_bullet, sub_comp.weak_bullet),
@@ -1017,8 +1081,8 @@ def _evaluate_sub_rules(inst, comp, pv, stats, rule_ids, where) -> None:
                 s.vacuous += 1
 
 
-def _hom_phase(univ, rule_ids, stats) -> None:
-    bundles = [weak.topology_comparison(inst).bundle for inst in univ]
+def _hom_phase(univ, rule_ids, stats, memo) -> None:
+    bundles = [memo.comparison(inst).bundle for inst in univ]
     subtop = [tsl.continuity_profile(inst).subtopological for inst in univ]
     for (ia, a), (ib, b) in itertools.product(enumerate(univ), repeat=2):
         ba, bb = bundles[ia], bundles[ib]
@@ -1062,8 +1126,8 @@ def _hom_phase(univ, rule_ids, stats) -> None:
                     s.vacuous += 1
 
 
-def _product_phase(univ, rule_ids, stats) -> None:
-    comps = [weak.topology_comparison(inst) for inst in univ]
+def _product_phase(univ, rule_ids, stats, memo) -> None:
+    comps = [memo.comparison(inst) for inst in univ]
     semitop = [tsl.translations_continuous(inst) for inst in univ]
     zar_sep = [
         props._two_topology_separated(inst.topology, comp.bundle.zar)
@@ -1072,8 +1136,7 @@ def _product_phase(univ, rule_ids, stats) -> None:
     for (ia, a), (ib, b) in itertools.combinations_with_replacement(
         enumerate(univ), 2
     ):
-        prod = product_instance(a, b)
-        comp_p = weak.topology_comparison(prod)
+        comp_p = memo.comparison(product_instance(a, b))
         ca, cb = comps[ia], comps[ib]
         where = f"product of [{_describe(a)}] and [{_describe(b)}]"
         for rule_id, fa, fb, fp in (
@@ -1133,15 +1196,15 @@ def _main_conditions(inst, comp) -> tuple:
     )
 
 
-def _main_phase(main_n_max: int, stats) -> None:
+def _main_phase(main_n_max: int, stats, memo) -> None:
     """Fifteen-way equivalence on finite discrete instances, which are
     exactly the compact Hausdorff ones."""
     s = stats.setdefault(MAIN_RULE_ID, RuleStats())
     for n in range(1, main_n_max + 1):
         disc = topo.discrete(n)
         for sl in enumerate_semilattices(n):
-            inst = tsl.TopologizedSemigroup(sl, disc)
-            comp = weak.topology_comparison(inst)
+            inst = memo.instance(tsl.TopologizedSemigroup(sl, disc))
+            comp = memo.comparison(inst)
             s.applied += 1
             values = _main_conditions(inst, comp)
             if len(set(values)) > 1:
@@ -1157,7 +1220,9 @@ def sweep(
     """Evaluate every rule over all topology x semilattice pairings up to
     n_max, plus the cross-instance phases.  Deterministic for any thread
     count: per-instance results are merged commutatively and violation lists
-    sorted at render time."""
+    sorted at render time.  Each comparison report is computed once per
+    distinct instance and each order quantity once per semilattice table;
+    nothing is kept after the call returns."""
     if not 1 <= n_max <= SWEEP_MAX:
         raise ValueError(f"sweep supports n_max in 1..{SWEEP_MAX}, got {n_max}")
     if threads < 1:
@@ -1169,17 +1234,12 @@ def sweep(
             raise ValueError(f"unknown rule ids: {sorted(unknown)}")
     univ = universe(n_max)
     stats: dict = {}
-
-    def shard_of(inst) -> int:
-        key = repr((inst.algebra.table, inst.topology.opens)).encode("ascii")
-        return int(hashlib.sha256(key).hexdigest(), 16) % threads
+    memo = SweepMemo()
 
     def run_shard(k: int) -> dict:
         partial: dict = {}
-        for inst in univ:
-            if shard_of(inst) != k:
-                continue
-            for rule_id, rs in _evaluate_instance(inst, rule_ids).items():
+        for inst in univ[k::threads]:
+            for rule_id, rs in _evaluate_instance(inst, rule_ids, memo).items():
                 partial.setdefault(rule_id, RuleStats()).merge(rs)
         return partial
 
@@ -1194,13 +1254,13 @@ def sweep(
         for rule_id, rs in partial.items():
             stats.setdefault(rule_id, RuleStats()).merge(rs)
 
-    univ2 = universe(min(n_max, 2))
+    univ2 = [inst for inst in univ if inst.n <= 2]  # universe(2), in order
     if any(_want(rule_ids, rid) for rid in HOM_RULE_IDS):
-        _hom_phase(univ2, rule_ids, stats)
+        _hom_phase(univ2, rule_ids, stats, memo)
     if any(_want(rule_ids, rid) for rid in PRODUCT_RULE_IDS):
-        _product_phase(univ2, rule_ids, stats)
+        _product_phase(univ2, rule_ids, stats, memo)
     if _want(rule_ids, MAIN_RULE_ID):
-        _main_phase(main_n_max, stats)
+        _main_phase(main_n_max, stats, memo)
     return SweepReport(n_max, len(univ), stats)
 
 

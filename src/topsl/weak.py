@@ -18,6 +18,7 @@ from .core import (
     bits,
     bound_extremum,
     chain_and_directed,
+    derived,
     full_mask,
     natural_order,
     subsets,
@@ -134,9 +135,15 @@ def scott_topology(poset: FinitePoset) -> topo.FiniteTopology:
     return literal
 
 
-def lawson_topology(poset: FinitePoset) -> topo.FiniteTopology:
+def lawson_topology(
+    poset: FinitePoset, scott: topo.FiniteTopology | None = None
+) -> topo.FiniteTopology:
+    """Generated by the Scott opens and the complements of principal upper
+    sets.  `scott` is the Scott topology of `poset`, when already at hand."""
+    if scott is None:
+        scott = scott_topology(poset)
     full = full_mask(poset.n)
-    subbase = list(scott_topology(poset).opens)
+    subbase = list(scott.opens)
     subbase.extend(full ^ poset.up[x] for x in range(poset.n))
     return topo.generate_topology(poset.n, subbase)
 
@@ -146,6 +153,14 @@ def interval_topology(poset: FinitePoset) -> topo.FiniteTopology:
     subbase = [full ^ poset.up[x] for x in range(poset.n)]
     subbase.extend(full ^ poset.down(x) for x in range(poset.n))
     return topo.generate_topology(poset.n, subbase)
+
+
+def order_topologies(
+    poset: FinitePoset,
+) -> tuple[topo.FiniteTopology, topo.FiniteTopology, topo.FiniteTopology]:
+    """The Scott, Lawson and interval topologies, with Scott computed once."""
+    scott = scott_topology(poset)
+    return scott, lawson_topology(poset, scott), interval_topology(poset)
 
 
 @dataclass(frozen=True)
@@ -179,15 +194,17 @@ def topology_comparison(x_instance: tsl.TopologizedSemigroup) -> ComparisonRepor
     alg = x_instance.algebra
     if not alg.is_semilattice:
         raise NotASemilatticeError("topology comparison needs a semilattice")
-    poset = natural_order(alg)
+    # the order topologies depend on the semilattice alone: they are derived
+    # once per algebra object and shared by every topology paired with it
+    scott, lawson, interval = derived(derived(alg, natural_order), order_topologies)
     bundle = TopologyBundle(
         tau=x_instance.topology,
         law=law_topology(x_instance),
         zar=zar_topology(x_instance),
         weak=weak_topology(x_instance),
-        scott=scott_topology(poset),
-        lawson=lawson_topology(poset),
-        interval=interval_topology(poset),
+        scott=scott,
+        lawson=lawson,
+        interval=interval,
     )
     tops = [getattr(bundle, name) for name in TOPOLOGY_NAMES]
     inclusion = tuple(

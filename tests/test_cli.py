@@ -179,6 +179,17 @@ def test_cmd_derive_generated(instance_file, tmp_path, capsys):
     assert out == {"generated": [[], ["z"], ["z", "u"]]}
 
 
+@pytest.mark.parametrize("raw", [5, [5], {"a": 1}, "ab"])
+def test_cmd_derive_rejects_malformed_subbase(raw, instance_file, tmp_path, capsys):
+    subbase = tmp_path / "subbase.json"
+    subbase.write_text(json.dumps(raw))
+    argv = ["derive", instance_file, "--topology", "generated", "--subbase", str(subbase)]
+    assert cli.main(argv) == cli.VALIDATION_EXIT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: subbase must be a list of lists")
+
+
 def test_cmd_enumerate(capsys):
     assert cli.main(["enumerate", "--what", "topologies", "--n", "3", "--count-only"]) == 0
     assert capsys.readouterr().out.strip() == "29"

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 from hypothesis import given, settings
@@ -124,12 +125,45 @@ def test_sweep_skips_instance_loop_for_cross_instance_rules(monkeypatch):
     assert line in only.render().splitlines()
 
 
+def test_sweep3_render_matches_golden_output():
+    golden = pathlib.Path(__file__).parent / "data" / "sweep3.txt"
+    assert verify.sweep(3).render() == golden.read_text(encoding="ascii")
+
+
+def test_sweep_computes_each_bundle_once_per_call(monkeypatch):
+    counts = {"topology_comparison": 0, "scott_topology": 0}
+    for name in counts:
+        original = getattr(weak, name)
+
+        def counted(x, original=original, name=name):
+            counts[name] += 1
+            return original(x)
+
+        monkeypatch.setattr(weak, name, counted)
+    verify.sweep(3)
+    # 379 distinct instances over 88 distinct semilattice tables
+    assert counts["topology_comparison"] == 379
+    assert counts["scott_topology"] <= 88
+    counts["topology_comparison"] = 0
+    verify.sweep(3)
+    assert counts["topology_comparison"] == 379  # no memo outlives a call
+
+
 def test_sweep_render_is_stable():
     a = verify.sweep(2, main_n_max=2).render()
     b = verify.sweep(2, main_n_max=2, threads=3).render()
     assert a == b
     assert a.startswith("sweep n_max=2\ninstances checked: 9\n")
     assert a.rstrip().endswith("total violations: 0")
+
+
+def test_zar_compact_centered_matches_scan():
+    discrete4 = [
+        tsl.TopologizedSemigroup(sl, topo.discrete(4))
+        for sl in verify.enumerate_semilattices(4)
+    ]
+    for x in verify.universe(3) + discrete4:
+        assert props.zar_compact_centered(x) == verify.zar_compact_centered_by_scan(x)
 
 
 def test_functorial_audit_constant_and_embedding():
