@@ -17,7 +17,7 @@ import hashlib
 import itertools
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Callable, Optional
 
@@ -979,8 +979,6 @@ class SweepMemo:
     """What one sweep computes once: the comparison report of each distinct
     instance, and the order data of each distinct semilattice table, derived
     (core.derived) on the one algebra object the memo keeps for that table.
-    Equal topologies and inclusion rows recur across the reports, and the
-    memo keeps one object for each, which holds its memory down.
 
     Owned by one sweep() call and dropped when it returns.  The shards of a
     threaded sweep share it; two threads that miss the same entry at once
@@ -988,16 +986,12 @@ class SweepMemo:
     """
 
     def __init__(self):
-        self.shared: dict = {}
+        self.algebras: dict = {}
         self.comparisons: dict = {}
-
-    def _one(self, value):
-        """The object this memo keeps for the values equal to value."""
-        return self.shared.setdefault(value, value)
 
     def instance(self, inst: tsl.TopologizedSemigroup) -> tsl.TopologizedSemigroup:
         """inst on the algebra object this memo keeps for its table."""
-        alg = self._one(inst.algebra)
+        alg = self.algebras.setdefault(inst.algebra, inst.algebra)
         if alg is inst.algebra:
             return inst
         return tsl.TopologizedSemigroup(alg, inst.topology)
@@ -1008,11 +1002,6 @@ class SweepMemo:
             # through the module attribute, so that a wrapper sees each
             # computation that is not a hit
             comp = weak.topology_comparison(self.instance(inst))
-            bundle = weak.TopologyBundle(
-                **{name: self._one(t) for name, t in comp.bundle.as_dict().items()}
-            )
-            inclusion = tuple(self._one(row) for row in comp.inclusion)
-            comp = replace(comp, bundle=bundle, inclusion=inclusion)
             self.comparisons[inst] = comp
         return comp
 

@@ -135,15 +135,12 @@ def scott_topology(poset: FinitePoset) -> topo.FiniteTopology:
     return literal
 
 
-def lawson_topology(
-    poset: FinitePoset, scott: topo.FiniteTopology | None = None
-) -> topo.FiniteTopology:
+def lawson_topology(poset: FinitePoset) -> topo.FiniteTopology:
     """Generated by the Scott opens and the complements of principal upper
-    sets.  `scott` is the Scott topology of `poset`, when already at hand."""
-    if scott is None:
-        scott = scott_topology(poset)
+    sets.  The Scott topology is derived once per poset object
+    (core.derived), so a comparison that needs both computes it once."""
     full = full_mask(poset.n)
-    subbase = list(scott.opens)
+    subbase = list(derived(poset, scott_topology).opens)
     subbase.extend(full ^ poset.up[x] for x in range(poset.n))
     return topo.generate_topology(poset.n, subbase)
 
@@ -153,14 +150,6 @@ def interval_topology(poset: FinitePoset) -> topo.FiniteTopology:
     subbase = [full ^ poset.up[x] for x in range(poset.n)]
     subbase.extend(full ^ poset.down(x) for x in range(poset.n))
     return topo.generate_topology(poset.n, subbase)
-
-
-def order_topologies(
-    poset: FinitePoset,
-) -> tuple[topo.FiniteTopology, topo.FiniteTopology, topo.FiniteTopology]:
-    """The Scott, Lawson and interval topologies, with Scott computed once."""
-    scott = scott_topology(poset)
-    return scott, lawson_topology(poset, scott), interval_topology(poset)
 
 
 @dataclass(frozen=True)
@@ -195,16 +184,16 @@ def topology_comparison(x_instance: tsl.TopologizedSemigroup) -> ComparisonRepor
     if not alg.is_semilattice:
         raise NotASemilatticeError("topology comparison needs a semilattice")
     # the order topologies depend on the semilattice alone: they are derived
-    # once per algebra object and shared by every topology paired with it
-    scott, lawson, interval = derived(derived(alg, natural_order), order_topologies)
+    # once per poset object and shared by every topology paired with it
+    poset = derived(alg, natural_order)
     bundle = TopologyBundle(
         tau=x_instance.topology,
         law=law_topology(x_instance),
         zar=zar_topology(x_instance),
         weak=weak_topology(x_instance),
-        scott=scott,
-        lawson=lawson,
-        interval=interval,
+        scott=derived(poset, scott_topology),
+        lawson=derived(poset, lawson_topology),
+        interval=derived(poset, interval_topology),
     )
     tops = [getattr(bundle, name) for name in TOPOLOGY_NAMES]
     inclusion = tuple(
