@@ -1,5 +1,6 @@
 """Exhaustive small-scale verification: enumeration of labeled topologies
-and semilattices, canonical forms, a rule sweep over every pairing, audits
+and semilattices, canonical forms and isomorphism classes, a rule sweep over
+every pairing (evaluated once per class, counted once per labeling), audits
 of homomorphisms and products, and counterexample search with a catalog.
 
 Rule ids are grouped by prefix: "diagram." for inclusion facts, "sep." for
@@ -16,9 +17,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from typing import Callable, Optional
 
 from . import props, topo, tsl, weak
@@ -27,6 +28,7 @@ from .core import (
     FiniteSemilattice,
     bits,
     bound_extremum,
+    chain_and_directed,
     cone,
     derived,
     full_mask,
@@ -39,7 +41,8 @@ from .tsl import is_homomorphism
 
 ENUM_MAX = 5
 CANON_MAX = 6
-SWEEP_MAX = 3
+SWEEP_MAX = 4
+SEARCH_MAX = 3  # search walks labeled instances
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +167,26 @@ def zar_compact_centered_by_scan(inst: tsl.TopologizedSemigroup) -> bool:
     return True
 
 
+def is_meet_continuous_by_scan(sl: FiniteSemilattice) -> bool:
+    """Literal route for props.is_meet_continuous: whether a * sup(D) is the
+    supremum of a*D for every up-directed D that has a supremum."""
+    poset = derived(sl, natural_order)
+    n = sl.n
+    for d in subsets(n):
+        if not d or not chain_and_directed(poset, d).is_up_directed:
+            continue
+        s = bound_extremum(poset, d, "sup")
+        if s is None:
+            continue
+        for a in range(n):
+            ad = 0
+            for x in bits(d):
+                ad |= 1 << sl.table[a][x]
+            if bound_extremum(poset, ad, "sup") != sl.table[a][s]:
+                return False
+    return True
+
+
 def brute_force_topology_count(n: int) -> int:
     """Count union/intersection-closed subset families containing the empty
     and full sets, by scanning all 2**(2**n) candidate families (n <= 4)."""
@@ -210,14 +233,26 @@ def brute_force_semilattice_tables(n: int) -> list[tuple[int, ...]]:
 # canonical forms
 
 
-def _permute_instance(inst: tsl.TopologizedSemigroup, perm):
-    n = inst.n
-    table = [[0] * n for _ in range(n)]
+def _permute_table(table, perm) -> tuple[tuple[int, ...], ...]:
+    """The operation table with each element x relabeled perm[x]."""
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
     for x in range(n):
         for y in range(n):
-            table[perm[x]][perm[y]] = perm[inst.algebra.table[x][y]]
-    opens = [mask_of(perm[i] for i in bits(u)) for u in inst.topology.opens]
-    return tuple(tuple(row) for row in table), tuple(sorted(opens))
+            out[perm[x]][perm[y]] = perm[table[x][y]]
+    return tuple(tuple(row) for row in out)
+
+
+def _permute_opens(opens, perm) -> tuple[int, ...]:
+    """The open sets with each element x relabeled perm[x], sorted."""
+    return tuple(sorted(mask_of(perm[i] for i in bits(u)) for u in opens))
+
+
+def _permute_instance(inst: tsl.TopologizedSemigroup, perm):
+    return (
+        _permute_table(inst.algebra.table, perm),
+        _permute_opens(inst.topology.opens, perm),
+    )
 
 
 def canonicalize(
@@ -964,7 +999,8 @@ class SweepReport:
 
 
 def universe(n_max: int):
-    """All (semilattice, topology) pairings up to n_max, in sweep order."""
+    """All labeled (semilattice, topology) pairings up to n_max, in
+    enumeration order."""
     out = []
     for n in range(1, n_max + 1):
         sls = enumerate_semilattices(n)
@@ -972,6 +1008,51 @@ def universe(n_max: int):
         for sl in sls:
             for top in tops:
                 out.append(tsl.TopologizedSemigroup(sl, top))
+    return out
+
+
+def semilattice_classes(n: int) -> list[tuple[FiniteSemilattice, tuple]]:
+    """One semilattice per isomorphism class on n points, with its
+    automorphism group (the permutations that fix its table).  The
+    representative is the first labeled table of its class in
+    enumerate_semilattices order; its class has n!/|Aut| labeled tables."""
+    perms = list(itertools.permutations(range(n)))
+    seen = set()
+    out = []
+    for sl in enumerate_semilattices(n):
+        if sl.table in seen:
+            continue
+        aut = []
+        for perm in perms:
+            image = _permute_table(sl.table, perm)
+            seen.add(image)
+            if image == sl.table:
+                aut.append(perm)
+        out.append((sl, tuple(aut)))
+    return out
+
+
+def instance_classes(n_max: int) -> list[tuple[tsl.TopologizedSemigroup, int]]:
+    """One instance per isomorphism class up to n_max, in sweep order, with
+    the size of its labeled orbit.
+
+    Over each semilattice representative S the topologies fall into orbits
+    of Aut(S); the first topology of an orbit in enumerate_topologies order
+    represents it.  By orbit-stabilizer the labeled orbit of (S, T) has
+    n!/|Aut(S) & Aut(T)| = n!/|Aut(S)| * |Aut(S) T| members, so the weights
+    sum to the number of labeled instances."""
+    out = []
+    for n in range(1, n_max + 1):
+        tops = enumerate_topologies(n)
+        for sl, aut in semilattice_classes(n):
+            tables = math.factorial(n) // len(aut)
+            seen = set()
+            for top in tops:
+                if top.opens in seen:
+                    continue
+                orbit = {_permute_opens(top.opens, perm) for perm in aut}
+                seen |= orbit
+                out.append((tsl.TopologizedSemigroup(sl, top), tables * len(orbit)))
     return out
 
 
@@ -1011,8 +1092,10 @@ def _want(rule_ids, rule_id: str) -> bool:
 
 
 def _evaluate_instance(
-    inst: tsl.TopologizedSemigroup, rule_ids, memo: SweepMemo
+    inst: tsl.TopologizedSemigroup, rule_ids, memo: SweepMemo, weight: int
 ) -> dict:
+    """Every selected per-instance and sub rule on inst, each counted weight
+    times: inst stands for its labeled orbit of that size."""
     stats = {}
     inst = memo.instance(inst)
     comp = memo.comparison(inst)
@@ -1020,23 +1103,23 @@ def _evaluate_instance(
     poset = derived(inst.algebra, natural_order)
     chains = derived(poset, FinitePoset.maximal_chains)
     ctx = InstanceContext(inst, poset, chains, comp, pv)
-    where = _describe(inst)
+    where = f"{_describe(inst)} orbit={weight}"
     for rule in PER_INSTANCE_RULES:
         if not _want(rule_ids, rule.id):
             continue
         s = stats.setdefault(rule.id, RuleStats())
         if all(pv[h] for h in rule.hypotheses):
-            s.applied += 1
+            s.applied += weight
             for detail in rule.check(ctx):
                 s.violations.append(f"{where} :: {detail}")
         else:
-            s.vacuous += 1
+            s.vacuous += weight
     if any(_want(rule_ids, rid) for rid in SUB_RULE_IDS):
-        _evaluate_sub_rules(inst, comp, pv, stats, rule_ids, where, memo)
+        _evaluate_sub_rules(inst, comp, pv, stats, rule_ids, where, memo, weight)
     return stats
 
 
-def _evaluate_sub_rules(inst, comp, pv, stats, rule_ids, where, memo) -> None:
+def _evaluate_sub_rules(inst, comp, pv, stats, rule_ids, where, memo, weight) -> None:
     for s_mask in tsl.enumerate_subsemigroups(inst):
         if not s_mask:
             continue
@@ -1050,24 +1133,24 @@ def _evaluate_sub_rules(inst, comp, pv, stats, rule_ids, where, memo) -> None:
                 continue
             s = stats.setdefault(rule_id, RuleStats())
             if parent_flag:
-                s.applied += 1
+                s.applied += weight
                 if not sub_flag:
                     s.violations.append(
                         f"{where} :: subsemigroup {s_mask:#x} loses the property"
                     )
             else:
-                s.vacuous += 1
+                s.vacuous += weight
         if _want(rule_ids, "sub.zar_subspace_coincides"):
             s = stats.setdefault("sub.zar_subspace_coincides", RuleStats())
             if pv["subtopological"]:
-                s.applied += 1
+                s.applied += weight
                 expected = topo.subspace(comp.bundle.zar, s_mask)
                 if sub_comp.bundle.zar != expected:
                     s.violations.append(
                         f"{where} :: zar of subsemigroup {s_mask:#x} is not the trace"
                     )
             else:
-                s.vacuous += 1
+                s.vacuous += weight
 
 
 def _hom_phase(univ, rule_ids, stats, memo) -> None:
@@ -1187,17 +1270,21 @@ def _main_conditions(inst, comp) -> tuple:
 
 def _main_phase(main_n_max: int, stats, memo) -> None:
     """Fifteen-way equivalence on finite discrete instances, which are
-    exactly the compact Hausdorff ones."""
+    exactly the compact Hausdorff ones.  Every permutation fixes the
+    discrete topology, so each semilattice class counts n!/|Aut(S)| times."""
     s = stats.setdefault(MAIN_RULE_ID, RuleStats())
     for n in range(1, main_n_max + 1):
         disc = topo.discrete(n)
-        for sl in enumerate_semilattices(n):
+        for sl, aut in semilattice_classes(n):
             inst = memo.instance(tsl.TopologizedSemigroup(sl, disc))
             comp = memo.comparison(inst)
-            s.applied += 1
+            weight = math.factorial(n) // len(aut)
+            s.applied += weight
             values = _main_conditions(inst, comp)
             if len(set(values)) > 1:
-                s.violations.append(f"{_describe(inst)} :: conditions disagree: {values}")
+                s.violations.append(
+                    f"{_describe(inst)} orbit={weight} :: conditions disagree: {values}"
+                )
 
 
 def sweep(
@@ -1207,11 +1294,18 @@ def sweep(
     main_n_max: int = 4,
 ) -> SweepReport:
     """Evaluate every rule over all topology x semilattice pairings up to
-    n_max, plus the cross-instance phases.  Deterministic for any thread
-    count: per-instance results are merged commutatively and violation lists
-    sorted at render time.  Each comparison report is computed once per
-    distinct instance and each order quantity once per semilattice table;
-    nothing is kept after the call returns."""
+    n_max, plus the cross-instance phases.
+
+    Every property and rule is invariant under relabeling the carrier, so
+    the per-instance loop and the main phase evaluate one instance per
+    isomorphism class and count it as many times as its labeled orbit has
+    members; applied/vacuous counts and instances_checked are those of the
+    labeled sweep.  The hom and product phases walk the labeled instances
+    with n <= 2.  Deterministic for any thread count: per-instance results
+    are merged commutatively and violation lists sorted at render time.
+    Each comparison report is computed once per distinct instance and each
+    order quantity once per semilattice table; nothing is kept after the
+    call returns."""
     if not 1 <= n_max <= SWEEP_MAX:
         raise ValueError(f"sweep supports n_max in 1..{SWEEP_MAX}, got {n_max}")
     if threads < 1:
@@ -1221,14 +1315,14 @@ def sweep(
         unknown = rule_ids - set(ALL_RULE_IDS)
         if unknown:
             raise ValueError(f"unknown rule ids: {sorted(unknown)}")
-    univ = universe(n_max)
+    classes = instance_classes(n_max)
     stats: dict = {}
     memo = SweepMemo()
 
     def run_shard(k: int) -> dict:
         partial: dict = {}
-        for inst in univ[k::threads]:
-            for rule_id, rs in _evaluate_instance(inst, rule_ids, memo).items():
+        for inst, weight in classes[k::threads]:
+            for rule_id, rs in _evaluate_instance(inst, rule_ids, memo, weight).items():
                 partial.setdefault(rule_id, RuleStats()).merge(rs)
         return partial
 
@@ -1243,14 +1337,14 @@ def sweep(
         for rule_id, rs in partial.items():
             stats.setdefault(rule_id, RuleStats()).merge(rs)
 
-    univ2 = [inst for inst in univ if inst.n <= 2]  # universe(2), in order
+    univ2 = universe(min(n_max, 2))
     if any(_want(rule_ids, rid) for rid in HOM_RULE_IDS):
         _hom_phase(univ2, rule_ids, stats, memo)
     if any(_want(rule_ids, rid) for rid in PRODUCT_RULE_IDS):
         _product_phase(univ2, rule_ids, stats, memo)
     if _want(rule_ids, MAIN_RULE_ID):
         _main_phase(main_n_max, stats, memo)
-    return SweepReport(n_max, len(univ), stats)
+    return SweepReport(n_max, sum(weight for _, weight in classes), stats)
 
 
 # ---------------------------------------------------------------------------
@@ -1262,7 +1356,6 @@ class CounterexampleRecord:
     query: dict
     document: dict
     properties: dict
-    discovered_at: str
     canonical_hash: str
 
 
@@ -1287,8 +1380,8 @@ def search(
     up to n_max is exhausted.  The search universe is all semilattice
     instances, so the pseudo-property "semilattice" is always satisfied."""
     satisfy = tuple(satisfy)
-    if not 1 <= n_max <= SWEEP_MAX:
-        raise ValueError(f"search supports n_max in 1..{SWEEP_MAX}, got {n_max}")
+    if not 1 <= n_max <= SEARCH_MAX:
+        raise ValueError(f"search supports n_max in 1..{SEARCH_MAX}, got {n_max}")
     _validate_property_names(satisfy + (violate,))
     if violate in SEARCH_PSEUDO_PROPERTIES:
         return None
@@ -1302,7 +1395,6 @@ def search(
                 query={"satisfy": list(satisfy), "violate": violate, "n_max": n_max},
                 document=instance_document(canon),
                 properties={k: v for k, v in sorted(pv.items())},
-                discovered_at=datetime.now(timezone.utc).isoformat(),
                 canonical_hash=canonical_hash(inst),
             )
             if catalog is not None:
@@ -1326,5 +1418,6 @@ def load_catalog(path: str) -> list[CounterexampleRecord]:
             if not line:
                 continue
             raw = json.loads(line)
+            raw.pop("discovered_at", None)  # written by older versions
             out.append(CounterexampleRecord(**raw))
     return out

@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 
 import pytest
@@ -95,7 +96,7 @@ def test_sweep_rule_filter_and_validation():
     with pytest.raises(ValueError, match="unknown rule ids"):
         verify.sweep(2, rule_ids=["nope"])
     with pytest.raises(ValueError):
-        verify.sweep(4)
+        verify.sweep(5)
 
 
 def test_sweep_skips_instance_loop_for_cross_instance_rules(monkeypatch):
@@ -141,9 +142,12 @@ def test_sweep_computes_each_bundle_once_per_call(monkeypatch):
 
         monkeypatch.setattr(weak, name, counted)
     verify.sweep(3)
-    # 379 distinct instances over 88 distinct semilattice tables
-    assert counts["topology_comparison"] == 379
-    assert counts["scott_topology"] <= 88
+    # 96 distinct instances over 12 distinct semilattice tables: the 52 class
+    # representatives and their sub-instances, the labeled n <= 2 instances
+    # of the hom and product phases with their products, and the discrete
+    # main-phase representatives
+    assert counts["topology_comparison"] == 96
+    assert counts["scott_topology"] <= 12
     # no memo outlives a call: neither the reports nor the order data
     # derived on the sweep's algebra objects, so a second sweep redoes all
     # of it (a leak from the first would show as fewer Scott calls)
@@ -151,6 +155,98 @@ def test_sweep_computes_each_bundle_once_per_call(monkeypatch):
     counts["topology_comparison"] = counts["scott_topology"] = 0
     verify.sweep(3)
     assert counts == first
+
+
+def test_class_weights_sum_to_labeled_counts():
+    totals = {}
+    for x, weight in verify.instance_classes(4):
+        totals[x.n] = totals.get(x.n, 0) + weight
+    assert totals == {1: 1, 2: 8, 3: 261, 4: 26980}
+    for n, classes, labeled in ((1, 1, 1), (2, 1, 2), (3, 2, 9), (4, 5, 76)):
+        sls = verify.semilattice_classes(n)
+        assert len(sls) == classes
+        assert sum(math.factorial(n) // len(aut) for _, aut in sls) == labeled
+        assert len(verify.enumerate_semilattices(n)) == labeled
+
+
+def test_class_representatives_are_first_of_their_class():
+    # each class holds exactly weight labeled instances, and its
+    # representative is the first of them in enumeration order
+    members = {}
+    for x in verify.universe(3):
+        members.setdefault(verify.canonical_hash(x), []).append(x)
+    classes = verify.instance_classes(3)
+    assert len(classes) == len(members) == 52
+    for x, weight in classes:
+        group = members[verify.canonical_hash(x)]
+        assert group[0] == x and len(group) == weight
+
+
+def test_class_sweep_counts_match_labeled_oracle():
+    memo = verify.SweepMemo()
+    labeled = {}
+    for x in verify.universe(3):
+        for rule_id, rs in verify._evaluate_instance(x, None, memo, weight=1).items():
+            labeled.setdefault(rule_id, verify.RuleStats()).merge(rs)
+    report = verify.sweep(3)
+    assert set(labeled) == set(verify.INSTANCE_RULE_IDS)
+    for rule_id, rs in labeled.items():
+        got = report.rules[rule_id]
+        assert (got.applied, got.vacuous) == (rs.applied, rs.vacuous), rule_id
+    main = report.rules[verify.MAIN_RULE_ID]
+    assert main.applied == sum(len(verify.enumerate_semilattices(n)) for n in (1, 2, 3, 4))
+
+
+def test_sweep4_render_matches_labeled_golden_output():
+    # tests/data/sweep4.txt was written by the labeled sweep, which evaluated
+    # every one of the 27,250 instances
+    path = pathlib.Path(__file__).parent / "data" / "sweep4.txt"
+    golden = path.read_text(encoding="ascii")
+    assert verify.sweep(4).render() == golden
+    assert verify.sweep(4, threads=2).render() == golden
+
+
+def test_violation_lines_name_the_representative_and_its_orbit(monkeypatch):
+    def always_fails(ctx):
+        return ["forced"]
+
+    rule = verify.PER_INSTANCE_RULES[0]
+    monkeypatch.setattr(
+        verify, "PER_INSTANCE_RULES", (verify.Rule(rule.id, rule.hypotheses, always_fails),)
+    )
+    report = verify.sweep(2, rule_ids=[rule.id])
+    stats = report.rules[rule.id]
+    assert stats.applied == 9
+    # one line per class: the point, and the 2-point chain, which has no
+    # nontrivial automorphism, under each of its 4 topologies (2 labelings)
+    classes = verify.instance_classes(2)
+    assert [w for _, w in classes] == [1, 2, 2, 2, 2]
+    assert sorted(stats.violations) == sorted(
+        f"{verify._describe(x)} orbit={w} :: forced" for x, w in classes
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_properties_are_relabeling_invariant(data):
+    n = data.draw(st.integers(1, 4))
+    sl = data.draw(st.sampled_from(verify.enumerate_semilattices(n)))
+    top = data.draw(st.sampled_from(verify.enumerate_topologies(n)))
+    perm = tuple(data.draw(st.permutations(range(n))))
+    x = tsl.TopologizedSemigroup(sl, top)
+    table, opens = verify._permute_instance(x, perm)
+    y = tsl.TopologizedSemigroup(
+        FiniteSemilattice(n, table), topo.FiniteTopology(n, opens)
+    )
+    cx, cy = weak.topology_comparison(x), weak.topology_comparison(y)
+    assert (cx.weak_circ, cx.weak_bullet, cx.i_weak) == (cy.weak_circ, cy.weak_bullet, cy.i_weak)
+    assert props.property_vector(x, cx).as_dict() == props.property_vector(y, cy).as_dict()
+
+
+def test_meet_continuity_matches_scan():
+    for n in (1, 2, 3, 4):
+        for sl in verify.enumerate_semilattices(n):
+            assert props.is_meet_continuous(sl) == verify.is_meet_continuous_by_scan(sl)
 
 
 def test_sweep_render_is_stable():
@@ -212,6 +308,21 @@ def test_search_exhausted_cases():
     assert verify.search(["t1", "semilattice"], "t2", 3) is None
     with pytest.raises(ValueError, match="unknown property"):
         verify.search(["bogus"], "t2", 2)
+    # the search walks labeled instances and keeps its own bound
+    with pytest.raises(ValueError, match="search supports n_max in 1..3"):
+        verify.search(["weak_circ"], "i_weak", 4)
+
+
+def test_search_output_and_catalog_are_byte_stable(tmp_path, capsys):
+    argv = ["search", "--satisfy", "weak_circ", "--violate", "i_weak", "--n-max", "2"]
+    outputs, lines = [], []
+    for k in range(2):
+        path = tmp_path / f"catalog{k}.jsonl"
+        assert cli.main(argv + ["--catalog", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+        lines.append(path.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert lines[0] == lines[1]
 
 
 def test_search_catalog_round_trip(tmp_path):
@@ -226,6 +337,11 @@ def test_search_catalog_round_trip(tmp_path):
     pv = props.property_vector(inst).as_dict()
     pv["semilattice"] = True
     assert pv == stored.properties
+    # catalogs written before the timestamp was dropped still load
+    raw = json.loads(path.read_text(encoding="ascii"))
+    raw["discovered_at"] = "2018-01-01T00:00:00+00:00"
+    path.write_text(json.dumps(raw, sort_keys=True) + "\n", encoding="ascii")
+    assert verify.load_catalog(str(path)) == records
 
 
 def test_sub_and_product_instances():
