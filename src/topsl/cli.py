@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage error (bad flags, unreadable file),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -385,7 +386,9 @@ def _cmd_export(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """Built on first use and kept: each parse_args returns a fresh namespace."""
     parser = _Parser(prog="topsl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

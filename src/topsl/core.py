@@ -168,7 +168,8 @@ def as_semilattice(sg: FiniteSemigroup) -> FiniteSemilattice:
 
 @dataclass(frozen=True)
 class FinitePoset:
-    """A partial order on 0..n-1; up[x] is the bitmask of {y : x <= y}."""
+    """A partial order on 0..n-1; up[x] is the bitmask of {y : x <= y}.
+    `downs[x]` (not a field) is the bitmask of {z : z <= x}."""
 
     n: int
     up: tuple[int, ...]
@@ -189,19 +190,24 @@ class FinitePoset:
                     raise ValueError(f"relation is not antisymmetric at ({x}, {y})")
                 if up[y] & ~up[x]:
                     raise ValueError(f"relation is not transitive at ({x}, {y})")
+        downs = [0] * n
+        for x in range(n):
+            for y in bits(up[x]):
+                downs[y] |= 1 << x
+        object.__setattr__(self, "downs", tuple(downs))
 
     def leq(self, x: int, y: int) -> bool:
         return bool(self.up[x] >> y & 1)
 
     def down(self, x: int) -> int:
         """Bitmask of {z : z <= x}."""
-        return mask_of(z for z in range(self.n) if self.up[z] >> x & 1)
+        return self.downs[x]
 
     def comparable(self, x: int, y: int) -> bool:
         return self.leq(x, y) or self.leq(y, x)
 
     def dual(self) -> "FinitePoset":
-        return FinitePoset(self.n, tuple(self.down(x) for x in range(self.n)))
+        return FinitePoset(self.n, self.downs)
 
     def is_chain_set(self, s: int) -> bool:
         elems = list(bits(s))
@@ -241,7 +247,7 @@ def cone(poset: FinitePoset, s: int, direction: str) -> int:
     if direction == "up":
         rows = poset.up
     elif direction == "down":
-        rows = tuple(poset.down(x) for x in range(poset.n))
+        rows = poset.downs
     else:
         raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
     out = 0
@@ -282,23 +288,19 @@ def bound_extremum(poset: FinitePoset, s: int, kind: str) -> Optional[int]:
     if not s:
         raise ValueError("extremum of the empty set is undefined")
     if kind == "sup":
-        bounds = full_mask(poset.n)
-        for x in bits(s):
-            bounds &= poset.up[x]
-        for b in bits(bounds):
-            if bounds & ~poset.up[b] == 0:
-                return b
-        return None
-    if kind == "inf":
-        bounds = full_mask(poset.n)
-        downs = tuple(poset.down(x) for x in range(poset.n))
-        for x in bits(s):
-            bounds &= downs[x]
-        for b in bits(bounds):
-            if bounds & ~downs[b] == 0:
-                return b
-        return None
-    raise ValueError(f"kind must be 'sup' or 'inf', got {kind!r}")
+        rows = poset.up
+    elif kind == "inf":
+        rows = poset.downs
+    else:
+        raise ValueError(f"kind must be 'sup' or 'inf', got {kind!r}")
+    # the common bounds of s; the extremum is the bound all others lie beyond
+    bounds = full_mask(poset.n)
+    for x in bits(s):
+        bounds &= rows[x]
+    for b in bits(bounds):
+        if bounds & ~rows[b] == 0:
+            return b
+    return None
 
 
 def is_shift_homomorphic(sg: FiniteSemigroup) -> bool:

@@ -100,18 +100,22 @@ def _two_topology_separated(
     return True
 
 
-def separation_suite(x_instance: tsl.TopologizedSemigroup) -> SeparationSuite:
-    law = weak.law_topology(x_instance)
-    zar = weak.zar_topology(x_instance)
-    wk = weak.weak_topology(x_instance)
+def separation_suite(
+    x_instance: tsl.TopologizedSemigroup,
+    comparison: weak.ComparisonReport | None = None,
+) -> SeparationSuite:
+    """The six separation properties, from the comparison bundle's topologies."""
+    if comparison is None:
+        comparison = weak.topology_comparison(x_instance)
+    b = comparison.bundle
     tau = x_instance.topology
     return SeparationSuite(
         i_separated=i_separated(x_instance),
-        law_tau_separated=_two_topology_separated(tau, law),
-        zar_tau_separated=_two_topology_separated(tau, zar),
-        law_hausdorff=topo.separation_profile(law).t2,
-        zar_hausdorff=topo.separation_profile(zar).t2,
-        weak_hausdorff=topo.separation_profile(wk).t2,
+        law_tau_separated=_two_topology_separated(tau, b.law),
+        zar_tau_separated=_two_topology_separated(tau, b.zar),
+        law_hausdorff=topo.separation_profile(b.law).t2,
+        zar_hausdorff=topo.separation_profile(b.zar).t2,
+        weak_hausdorff=topo.separation_profile(b.weak).t2,
     )
 
 
@@ -165,7 +169,7 @@ def is_meet_continuous(sl) -> bool:
     Always true here: an up-directed subset of a finite semilattice contains
     its maximum m, which is sup(D), and a*m is then the maximum of a*D
     because multiplication by a is monotone.
-    verify.is_meet_continuous_by_scan is the literal scan, kept as the oracle.
+    oracles.is_meet_continuous_by_scan is the literal scan, kept as the oracle.
     """
     return True
 
@@ -175,7 +179,7 @@ def zar_compact_centered(x_instance: tsl.TopologizedSemigroup) -> bool:
 
     Always true here: a family of subsets of a finite carrier is itself
     finite, so a centered family meets in its total intersection, which is
-    therefore nonempty.  verify.zar_compact_centered_by_scan is the literal
+    therefore nonempty.  oracles.zar_compact_centered_by_scan is the literal
     scan, kept as the oracle.
     """
     return True
@@ -229,25 +233,20 @@ def property_vector(
     if comparison is None:
         comparison = weak.topology_comparison(x_instance)
     uvw = uvw_profile(x_instance)
+    suite = separation_suite(x_instance, comparison)
     sep = topo.separation_profile(x_instance.topology)
     cont = tsl.continuity_profile(x_instance)
     order = tsl.order_profile(x_instance)
-    tau = x_instance.topology
-    law, zar, wk = (
-        comparison.bundle.law,
-        comparison.bundle.zar,
-        comparison.bundle.weak,
-    )
     return PropertyVector(
         is_u=uvw.is_u,
         is_w=uvw.is_w,
         is_v=uvw.is_v,
-        i_separated=i_separated(x_instance),
-        law_tau_separated=_two_topology_separated(tau, law),
-        zar_tau_separated=_two_topology_separated(tau, zar),
-        law_hausdorff=topo.separation_profile(law).t2,
-        zar_hausdorff=topo.separation_profile(zar).t2,
-        weak_hausdorff=topo.separation_profile(wk).t2,
+        i_separated=suite.i_separated,
+        law_tau_separated=suite.law_tau_separated,
+        zar_tau_separated=suite.zar_tau_separated,
+        law_hausdorff=suite.law_hausdorff,
+        zar_hausdorff=suite.zar_hausdorff,
+        weak_hausdorff=suite.weak_hausdorff,
         weak_circ=comparison.weak_circ,
         weak_bullet=comparison.weak_bullet,
         i_weak=comparison.i_weak,

@@ -12,7 +12,6 @@ from .core import (
     FiniteSemilattice,
     NotASemilatticeError,
     bits,
-    bound_extremum,
     derived,
     mask_of,
     natural_order,
@@ -110,12 +109,10 @@ def continuity_profile(x_instance: TopologizedSemigroup) -> ContinuityProfile:
         for b in bits(m[y])
     )
     semitopological = translations_continuous(x_instance)
-    subtopological = True
-    for s in enumerate_subsemigroups(x_instance, closed_only=False):
-        cl = topo.closure(top, s)
-        if not _is_subsemigroup(alg, cl):
-            subtopological = False
-            break
+    subtopological = all(
+        _is_subsemigroup(alg, topo.closure(top, s))
+        for s in enumerate_subsemigroups(x_instance, closed_only=False)
+    )
     return ContinuityProfile(topological, semitopological, subtopological)
 
 
@@ -124,20 +121,20 @@ def _is_subsemigroup(alg: FiniteSemigroup, s: int) -> bool:
     return all(s >> alg.table[x][y] & 1 for x in elems for y in elems)
 
 
+def subsemigroups(alg: FiniteSemigroup) -> tuple[int, ...]:
+    """All subsets closed under the operation (including the empty set),
+    ascending by bitmask; read through core.derived, once per table."""
+    return tuple(s for s in subsets(alg.n) if _is_subsemigroup(alg, s))
+
+
 def enumerate_subsemigroups(
     x_instance: TopologizedSemigroup, closed_only: bool = False
 ) -> list[int]:
     """All subsets closed under the operation (including the empty set),
     ascending by bitmask; restricted to topologically closed sets on demand."""
-    alg, top = x_instance.algebra, x_instance.topology
-    out = []
-    for s in subsets(alg.n):
-        if not _is_subsemigroup(alg, s):
-            continue
-        if closed_only and not top.is_closed(s):
-            continue
-        out.append(s)
-    return out
+    top = x_instance.topology
+    subs = derived(x_instance.algebra, subsemigroups)
+    return [s for s in subs if not closed_only or top.is_closed(s)]
 
 
 @dataclass(frozen=True)
@@ -149,36 +146,22 @@ class OrderProfile:
 
 
 def order_profile(x_instance: TopologizedSemigroup) -> OrderProfile:
+    """Whether principal upper and lower sets are closed, and three flags that
+    hold on every finite carrier (oracles.order_profile_by_scan scans them)."""
     alg, top = x_instance.algebra, x_instance.topology
     if not alg.is_semilattice:
         raise NotASemilatticeError("order profile needs a semilattice")
     poset = derived(alg, natural_order)
-    n = alg.n
     updown = all(
-        top.is_closed(poset.up[x]) and top.is_closed(poset.down(x)) for x in range(n)
+        top.is_closed(poset.up[x]) and top.is_closed(poset.downs[x])
+        for x in range(alg.n)
     )
-    # every nonempty chain must have inf and sup inside its closure
-    complete = True
-    closed_chains = []
-    for s in subsets(n):
-        if not s or not poset.is_chain_set(s):
-            continue
-        if top.is_closed(s):
-            closed_chains.append(s)
-        lo = bound_extremum(poset, s, "inf")
-        hi = bound_extremum(poset, s, "sup")
-        cl = topo.closure(top, s)
-        if lo is None or hi is None or not cl >> lo & 1 or not cl >> hi & 1:
-            complete = False
-    # every closed chain here is a finite set, hence compact; the scans above
-    # enumerate them so the tautology is at least exercised
-    chain_compact = all(isinstance(c, int) for c in closed_chains)
-    down_chain_compact = True
-    for x in range(n):
-        down = poset.down(x)
-        down_top = topo.subspace(top, down)
-        down_chain_compact = down_chain_compact and down_top.n >= 1
-    return OrderProfile(updown, complete, chain_compact, down_chain_compact)
+    return OrderProfile(
+        updown,
+        complete=True,  # a finite chain holds its inf and sup: its min and max
+        chain_compact=True,  # a finite chain is compact
+        down_chain_compact=True,  # so is each chain in a principal lower set
+    )
 
 
 def chain_semilattice(k: int) -> TopologizedSemigroup:

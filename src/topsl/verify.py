@@ -19,16 +19,16 @@ import itertools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Callable, Optional
 
 from . import props, topo, tsl, weak
 from .core import (
     FinitePoset,
+    FiniteSemigroup,
     FiniteSemilattice,
     bits,
     bound_extremum,
-    chain_and_directed,
     cone,
     derived,
     full_mask,
@@ -137,54 +137,6 @@ def saturate_family(n: int, seeds) -> tuple[int, ...]:
                     fam.add(c)
                     grew = True
     return tuple(sorted(fam))
-
-
-def joint_continuity_via_product(inst: tsl.TopologizedSemigroup) -> bool:
-    """Whether the operation is continuous from the self-product topology,
-    generated by the boxes U x V of open sets: the preimage of every open set
-    must be open.  Literal route, kept as the oracle for the topological flag
-    of tsl.continuity_profile."""
-    alg, top = inst.algebra, inst.topology
-    n = alg.n
-    boxes = [topo.box_mask(u, v, n) for u in top.opens for v in top.opens]
-    prod = topo.generate_topology(n * n, boxes)
-    op_map = [alg.table[i][j] for i in range(n) for j in range(n)]
-    return all(prod.is_open(tsl.preimage(op_map, u, n * n)) for u in top.opens)
-
-
-def zar_compact_centered_by_scan(inst: tsl.TopologizedSemigroup) -> bool:
-    """Literal route for props.zar_compact_centered: scan the subfamilies of
-    the nonempty closed subsemigroups for a centered one with empty total
-    intersection.  Over a finite carrier a family's total intersection is
-    achieved by some subfamily of at most n + 1 members, so those suffice."""
-    n = inst.n
-    family = [f for f in tsl.enumerate_subsemigroups(inst, closed_only=True) if f]
-    for r in range(1, min(len(family), n + 1) + 1):
-        for combo in itertools.combinations(family, r):
-            report = topo.centered_family_report(n, combo)
-            if report.is_centered and not report.total_intersection:
-                return False
-    return True
-
-
-def is_meet_continuous_by_scan(sl: FiniteSemilattice) -> bool:
-    """Literal route for props.is_meet_continuous: whether a * sup(D) is the
-    supremum of a*D for every up-directed D that has a supremum."""
-    poset = derived(sl, natural_order)
-    n = sl.n
-    for d in subsets(n):
-        if not d or not chain_and_directed(poset, d).is_up_directed:
-            continue
-        s = bound_extremum(poset, d, "sup")
-        if s is None:
-            continue
-        for a in range(n):
-            ad = 0
-            for x in bits(d):
-                ad |= 1 << sl.table[a][x]
-            if bound_extremum(poset, ad, "sup") != sl.table[a][s]:
-                return False
-    return True
 
 
 def brute_force_topology_count(n: int) -> int:
@@ -307,19 +259,27 @@ def instance_document(inst: tsl.TopologizedSemigroup, names=None) -> dict:
 # instance helpers shared by rules and audits
 
 
-def sub_instance(
-    inst: tsl.TopologizedSemigroup, s: int
-) -> tsl.TopologizedSemigroup:
-    """Subsemigroup s with the subspace topology, re-indexed ascending."""
+def _sub_algebra(alg: FiniteSemigroup, s: int) -> FiniteSemigroup:
+    """Subsemigroup s of alg, re-indexed ascending."""
     if not s:
         raise ValueError("subsemigroup carrier must be nonempty")
     elems = list(bits(s))
     index = {e: i for i, e in enumerate(elems)}
-    table = tuple(
-        tuple(index[inst.algebra.table[x][y]] for y in elems) for x in elems
-    )
+    table = tuple(tuple(index[alg.table[x][y]] for y in elems) for x in elems)
+    return type(alg)(len(elems), table)
+
+
+def sub_algebras(alg: FiniteSemigroup) -> tuple[tuple[int, FiniteSemigroup], ...]:
+    """Each nonempty subsemigroup s of alg, ascending, paired with its
+    re-indexed algebra; derived once per table (core.derived)."""
+    subs = derived(alg, tsl.subsemigroups)
+    return tuple((s, _sub_algebra(alg, s)) for s in subs if s)
+
+
+def sub_instance(inst: tsl.TopologizedSemigroup, s: int) -> tsl.TopologizedSemigroup:
+    """Subsemigroup s with the subspace topology, re-indexed ascending."""
     return tsl.TopologizedSemigroup(
-        type(inst.algebra)(len(elems), table), topo.subspace(inst.topology, s)
+        _sub_algebra(inst.algebra, s), topo.subspace(inst.topology, s)
     )
 
 
@@ -389,36 +349,41 @@ def _is_embedding(src: topo.FiniteTopology, tgt: topo.FiniteTopology, mapping) -
     return traces == set(src.opens)
 
 
-def functorial_audit(h: tsl.ContinuousHom) -> FunctorialAudit:
-    src, tgt, mapping = h.source, h.target, h.mapping
-    law_s, law_t = weak.law_topology(src), weak.law_topology(tgt)
-    zar_s, zar_t = weak.zar_topology(src), weak.zar_topology(tgt)
-    weak_s, weak_t = weak.weak_topology(src), weak.weak_topology(tgt)
-    details = []
-    continuity = True
-    for name, a, b in (("law", law_s, law_t), ("zar", zar_s, zar_t), ("weak", weak_s, weak_t)):
-        if not tsl.is_continuous(a, b, mapping):
-            continuity = False
-            details.append(f"not continuous for the {name} topologies")
-    openness = None
-    if _is_open_map(src.topology, tgt.topology, mapping):
-        openness = _is_open_map(law_s, law_t, mapping)
+def _audit_hom(a, b, da, db, mapping, b_subtopological: bool) -> FunctorialAudit:
+    """The audit of the continuous hom `mapping` from a to b, given the
+    (law, zar, weak) topologies da of a and db of b.  Each detail names the
+    clause that fails."""
+    details = [
+        f"loses {name} continuity"
+        for name, ta, tb in zip(("law", "zar", "weak"), da, db)
+        if not tsl.is_continuous(ta, tb, mapping)
+    ]
+    continuity = not details
+    (law_a, zar_a, _), (law_b, zar_b, _) = da, db
+    openness = closedness = embedding = None
+    if _is_open_map(a.topology, b.topology, mapping):
+        openness = _is_open_map(law_a, law_b, mapping)
         if not openness:
-            details.append("open map fails to stay open for the law topologies")
-    closedness = None
-    if _is_closed_map(src.topology, tgt.topology, mapping):
-        closedness = _is_closed_map(zar_s, zar_t, mapping)
+            details.append("loses law openness")
+    if _is_closed_map(a.topology, b.topology, mapping):
+        closedness = _is_closed_map(zar_a, zar_b, mapping)
         if not closedness:
-            details.append("closed map fails to stay closed for the zar topologies")
-    embedding = None
-    if (
-        _is_embedding(src.topology, tgt.topology, mapping)
-        and tsl.continuity_profile(tgt).subtopological
-    ):
-        embedding = _is_embedding(zar_s, zar_t, mapping)
+            details.append("loses zar closedness")
+    if _is_embedding(a.topology, b.topology, mapping) and b_subtopological:
+        embedding = _is_embedding(zar_a, zar_b, mapping)
         if not embedding:
-            details.append("embedding fails to stay an embedding for the zar topologies")
+            details.append("loses zar embedding")
     return FunctorialAudit(continuity, openness, closedness, embedding, tuple(details))
+
+
+def functorial_audit(h: tsl.ContinuousHom) -> FunctorialAudit:
+    src, tgt = h.source, h.target
+    da, db = (
+        (weak.law_topology(x), weak.zar_topology(x), weak.weak_topology(x))
+        for x in (src, tgt)
+    )
+    subtop = tsl.continuity_profile(tgt).subtopological
+    return _audit_hom(src, tgt, da, db, h.mapping, subtop)
 
 
 @dataclass(frozen=True)
@@ -432,32 +397,38 @@ class ProductAudit:
     zar_factorizes: Optional[bool]
 
 
+def _factors_hypothesis(inst: tsl.TopologizedSemigroup, comp) -> bool:
+    """A factor's hypothesis of product.zar_weak_factorizes."""
+    zar_separated = props._two_topology_separated(inst.topology, comp.bundle.zar)
+    return zar_separated and tsl.translations_continuous(inst)
+
+
+def _audit_product(comp_a, comp_b, comp_p, factors_ok: bool) -> ProductAudit:
+    """The audit of a product from the comparison reports of its factors and
+    of itself; factors_ok is the factorization hypothesis of both factors."""
+    flags = [
+        getattr(comp_p, f) if getattr(comp_a, f) and getattr(comp_b, f) else None
+        for f in ("weak_circ", "weak_bullet", "i_weak")
+    ]
+    factorizes = None
+    if factors_ok:
+        a, b, p = comp_a.bundle, comp_b.bundle, comp_p.bundle
+        factorizes = (
+            p.zar == topo.product(a.zar, b.zar)
+            and p.weak == topo.product(a.weak, b.weak)
+            and p.zar == p.weak
+        )
+    return ProductAudit(*flags, factorizes)
+
+
 def product_audit(
     a: tsl.TopologizedSemigroup, b: tsl.TopologizedSemigroup
 ) -> ProductAudit:
-    prod = product_instance(a, b)
     comp_a = weak.topology_comparison(a)
     comp_b = weak.topology_comparison(b)
-    comp_p = weak.topology_comparison(prod)
-    circ = comp_p.weak_circ if comp_a.weak_circ and comp_b.weak_circ else None
-    bullet = comp_p.weak_bullet if comp_a.weak_bullet and comp_b.weak_bullet else None
-    i_weak = comp_p.i_weak if comp_a.i_weak and comp_b.i_weak else None
-    factorizes = None
-    sep_a = props._two_topology_separated(a.topology, comp_a.bundle.zar)
-    sep_b = props._two_topology_separated(b.topology, comp_b.bundle.zar)
-    if (
-        sep_a
-        and sep_b
-        and tsl.translations_continuous(a)
-        and tsl.translations_continuous(b)
-    ):
-        factorizes = (
-            comp_p.bundle.zar == topo.product(comp_a.bundle.zar, comp_b.bundle.zar)
-            and comp_p.bundle.weak
-            == topo.product(comp_a.bundle.weak, comp_b.bundle.weak)
-            and comp_p.bundle.zar == comp_p.bundle.weak
-        )
-    return ProductAudit(circ, bullet, i_weak, factorizes)
+    comp_p = weak.topology_comparison(product_instance(a, b))
+    factors_ok = _factors_hypothesis(a, comp_a) and _factors_hypothesis(b, comp_b)
+    return _audit_product(comp_a, comp_b, comp_p, factors_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -507,18 +478,13 @@ def _submasks(mask: int):
     return sorted(out)
 
 
-def _chain_max(poset: FinitePoset, chain_mask: int) -> int:
+def _chain_extremum(rows, chain_mask: int) -> int:
+    """The element of a chain whose row (down-set for the maximum, up-set
+    for the minimum) holds the whole chain."""
     for x in bits(chain_mask):
-        if chain_mask & ~poset.down(x) == 0:
+        if chain_mask & ~rows[x] == 0:
             return x
-    raise AssertionError("finite chain without a largest element")
-
-
-def _chain_min(poset: FinitePoset, chain_mask: int) -> int:
-    for x in bits(chain_mask):
-        if chain_mask & ~poset.up[x] == 0:
-            return x
-    raise AssertionError("finite chain without a smallest element")
+    raise AssertionError("finite chain without an extremum")
 
 
 def _check_diagram(pairs):
@@ -612,7 +578,7 @@ def _check_scott_gap(ctx: InstanceContext) -> list[str]:
             gap = m & ~u
             if not gap:
                 continue
-            x = _chain_max(poset, gap)
+            x = _chain_extremum(poset.downs, gap)
             if gap != m & poset.down(x):
                 out.append(
                     f"chain gap {gap:#x} is not the down-trace of its maximum {x}"
@@ -620,32 +586,21 @@ def _check_scott_gap(ctx: InstanceContext) -> list[str]:
     return out
 
 
-def _check_down_trace(ctx: InstanceContext) -> list[str]:
-    poset = ctx.poset
-    out = []
-    for x in range(ctx.inst.n):
-        for m in ctx.chains:
-            trace = m & poset.down(x)
-            if not trace:
-                continue
-            c = _chain_max(poset, trace)
-            if trace != m & poset.down(c):
-                out.append(f"down-trace {trace:#x} of {x} is not principal")
-    return out
+def _check_trace(direction: str):
+    """The trace of each principal down-set (up-set) on a maximal chain is
+    the principal down-set (up-set) of its maximum (minimum)."""
 
+    def check(ctx: InstanceContext) -> list[str]:
+        rows = ctx.poset.downs if direction == "down" else ctx.poset.up
+        out = []
+        for x in range(ctx.inst.n):
+            for m in ctx.chains:
+                trace = m & rows[x]
+                if trace and trace != m & rows[_chain_extremum(rows, trace)]:
+                    out.append(f"{direction}-trace {trace:#x} of {x} is not principal")
+        return out
 
-def _check_up_trace(ctx: InstanceContext) -> list[str]:
-    poset = ctx.poset
-    out = []
-    for x in range(ctx.inst.n):
-        for m in ctx.chains:
-            trace = m & poset.up[x]
-            if not trace:
-                continue
-            c = _chain_min(poset, trace)
-            if trace != m & poset.up[c]:
-                out.append(f"up-trace {trace:#x} of {x} is not principal")
-    return out
+    return check
 
 
 def _check_shift_identities(ctx: InstanceContext) -> list[str]:
@@ -674,30 +629,20 @@ def _check_shift_continuity(*names: str):
     return check
 
 
-def _check_law_witnesses(ctx: InstanceContext) -> list[str]:
-    inst = ctx.inst
-    have_all = all(
-        props.law_hausdorff_witness(inst, x, y) is not None
-        for x, y in itertools.combinations(range(inst.n), 2)
-    )
-    if have_all != ctx.pv["law_hausdorff"]:
-        return [
-            f"law_hausdorff={ctx.pv['law_hausdorff']} but witnesses for all pairs={have_all}"
-        ]
-    return []
+def _check_witnesses(prop: str, witness):
+    """prop holds exactly when witness finds a witness for every pair."""
 
+    def check(ctx: InstanceContext) -> list[str]:
+        inst = ctx.inst
+        have_all = all(
+            witness(inst, x, y) is not None
+            for x, y in itertools.combinations(range(inst.n), 2)
+        )
+        if have_all != ctx.pv[prop]:
+            return [f"{prop}={ctx.pv[prop]} but witnesses for all pairs={have_all}"]
+        return []
 
-def _check_zar_witnesses(ctx: InstanceContext) -> list[str]:
-    inst = ctx.inst
-    have_all = all(
-        props.zar_hausdorff_witness(inst, x, y) is not None
-        for x, y in itertools.combinations(range(inst.n), 2)
-    )
-    if have_all != ctx.pv["zar_hausdorff"]:
-        return [
-            f"zar_hausdorff={ctx.pv['zar_hausdorff']} but witnesses for all pairs={have_all}"
-        ]
-    return []
+    return check
 
 
 def _final_conditions(ctx: InstanceContext) -> tuple:
@@ -878,12 +823,12 @@ PER_INSTANCE_RULES = (
     Rule(
         "sep.law_hausdorff_witness_characterization",
         (),
-        _check_law_witnesses,
+        _check_witnesses("law_hausdorff", props.law_hausdorff_witness),
     ),
     Rule(
         "sep.zar_hausdorff_witness_characterization",
         (),
-        _check_zar_witnesses,
+        _check_witnesses("zar_hausdorff", props.zar_hausdorff_witness),
     ),
     # equivalence bundles
     Rule(
@@ -905,8 +850,8 @@ PER_INSTANCE_RULES = (
     Rule("scott.open_upper_sets_are_scott_open", (), _check_open_upper_scott),
     Rule("chains.maxchain_contains_extrema", (), _check_maxchain_extrema),
     Rule("scott.maxchain_gap_is_principal", (), _check_scott_gap),
-    Rule("order.maxchain_down_trace_principal", (), _check_down_trace),
-    Rule("order.maxchain_up_trace_principal", (), _check_up_trace),
+    Rule("order.maxchain_down_trace_principal", (), _check_trace("down")),
+    Rule("order.maxchain_up_trace_principal", (), _check_trace("up")),
     # algebraic rules
     Rule("shifts.homomorphic_iff_identities", (), _check_shift_identities),
     Rule(
@@ -1119,131 +1064,78 @@ def _evaluate_instance(
     return stats
 
 
+def _tally(stats, rule_ids, rule_id, verdict, weight, violations) -> None:
+    """Count one evaluation of a selected rule weight times: vacuous when
+    verdict is None, applied otherwise, with the violation lines added when
+    verdict is false."""
+    if not _want(rule_ids, rule_id):
+        return
+    s = stats.setdefault(rule_id, RuleStats())
+    if verdict is None:
+        s.vacuous += weight
+        return
+    s.applied += weight
+    if not verdict:
+        s.violations.extend(violations)
+
+
 def _evaluate_sub_rules(inst, comp, pv, stats, rule_ids, where, memo, weight) -> None:
-    for s_mask in tsl.enumerate_subsemigroups(inst):
-        if not s_mask:
-            continue
-        sub_comp = memo.comparison(sub_instance(inst, s_mask))
-        for rule_id, parent_flag, sub_flag in (
-            ("sub.weak_circ_inherited", comp.weak_circ, sub_comp.weak_circ),
-            ("sub.weak_bullet_inherited", comp.weak_bullet, sub_comp.weak_bullet),
-            ("sub.i_weak_inherited", comp.i_weak, sub_comp.i_weak),
+    for s_mask, sub_alg in derived(inst.algebra, sub_algebras):
+        sub = tsl.TopologizedSemigroup(sub_alg, topo.subspace(inst.topology, s_mask))
+        sub_comp = memo.comparison(sub)
+        lost = [f"{where} :: subsemigroup {s_mask:#x} loses the property"]
+        for rule_id, flag in (
+            ("sub.weak_circ_inherited", "weak_circ"),
+            ("sub.weak_bullet_inherited", "weak_bullet"),
+            ("sub.i_weak_inherited", "i_weak"),
         ):
-            if not _want(rule_ids, rule_id):
-                continue
-            s = stats.setdefault(rule_id, RuleStats())
-            if parent_flag:
-                s.applied += weight
-                if not sub_flag:
-                    s.violations.append(
-                        f"{where} :: subsemigroup {s_mask:#x} loses the property"
-                    )
-            else:
-                s.vacuous += weight
-        if _want(rule_ids, "sub.zar_subspace_coincides"):
-            s = stats.setdefault("sub.zar_subspace_coincides", RuleStats())
-            if pv["subtopological"]:
-                s.applied += weight
-                expected = topo.subspace(comp.bundle.zar, s_mask)
-                if sub_comp.bundle.zar != expected:
-                    s.violations.append(
-                        f"{where} :: zar of subsemigroup {s_mask:#x} is not the trace"
-                    )
-            else:
-                s.vacuous += weight
+            inherited = getattr(sub_comp, flag) if getattr(comp, flag) else None
+            _tally(stats, rule_ids, rule_id, inherited, weight, lost)
+        coincides = None
+        if pv["subtopological"]:
+            coincides = sub_comp.bundle.zar == topo.subspace(comp.bundle.zar, s_mask)
+        not_trace = [f"{where} :: zar of subsemigroup {s_mask:#x} is not the trace"]
+        rule_id = "sub.zar_subspace_coincides"
+        _tally(stats, rule_ids, rule_id, coincides, weight, not_trace)
+
+
+_CLAUSES = ("continuity", "openness", "closedness", "embedding")
 
 
 def _hom_phase(univ, rule_ids, stats, memo) -> None:
-    bundles = [memo.comparison(inst).bundle for inst in univ]
+    derived3 = [
+        (b.law, b.zar, b.weak) for b in (memo.comparison(x).bundle for x in univ)
+    ]
     subtop = [tsl.continuity_profile(inst).subtopological for inst in univ]
     for (ia, a), (ib, b) in itertools.product(enumerate(univ), repeat=2):
-        ba, bb = bundles[ia], bundles[ib]
         for mapping in itertools.product(range(b.n), repeat=a.n):
             if not is_homomorphism(a.algebra, b.algebra, mapping):
                 continue
             if not tsl.is_continuous(a.topology, b.topology, mapping):
                 continue
+            audit = _audit_hom(a, b, derived3[ia], derived3[ib], mapping, subtop[ib])
             where = f"hom {mapping} from [{_describe(a)}] to [{_describe(b)}]"
-            if _want(rule_ids, "hom.weak_continuity"):
-                s = stats.setdefault("hom.weak_continuity", RuleStats())
-                s.applied += 1
-                for name in ("law", "zar", "weak"):
-                    if not tsl.is_continuous(
-                        getattr(ba, name), getattr(bb, name), mapping
-                    ):
-                        s.violations.append(f"{where} :: loses {name} continuity")
-            if _want(rule_ids, "hom.law_openness"):
-                s = stats.setdefault("hom.law_openness", RuleStats())
-                if _is_open_map(a.topology, b.topology, mapping):
-                    s.applied += 1
-                    if not _is_open_map(ba.law, bb.law, mapping):
-                        s.violations.append(f"{where} :: loses law openness")
-                else:
-                    s.vacuous += 1
-            if _want(rule_ids, "hom.zar_closedness"):
-                s = stats.setdefault("hom.zar_closedness", RuleStats())
-                if _is_closed_map(a.topology, b.topology, mapping):
-                    s.applied += 1
-                    if not _is_closed_map(ba.zar, bb.zar, mapping):
-                        s.violations.append(f"{where} :: loses zar closedness")
-                else:
-                    s.vacuous += 1
-            if _want(rule_ids, "hom.zar_embedding"):
-                s = stats.setdefault("hom.zar_embedding", RuleStats())
-                if _is_embedding(a.topology, b.topology, mapping) and subtop[ib]:
-                    s.applied += 1
-                    if not _is_embedding(ba.zar, bb.zar, mapping):
-                        s.violations.append(f"{where} :: loses zar embedding")
-                else:
-                    s.vacuous += 1
+            # HOM_RULE_IDS are in the order of the audit's fields
+            for rule_id, verdict, clause in zip(HOM_RULE_IDS, astuple(audit), _CLAUSES):
+                lines = [f"{where} :: {d}" for d in audit.details if d.endswith(clause)]
+                _tally(stats, rule_ids, rule_id, verdict, 1, lines)
 
 
 def _product_phase(univ, rule_ids, stats, memo) -> None:
     comps = [memo.comparison(inst) for inst in univ]
-    semitop = [tsl.translations_continuous(inst) for inst in univ]
-    zar_sep = [
-        props._two_topology_separated(inst.topology, comp.bundle.zar)
-        for inst, comp in zip(univ, comps)
-    ]
+    factors_ok = [_factors_hypothesis(x, comp) for x, comp in zip(univ, comps)]
     for (ia, a), (ib, b) in itertools.combinations_with_replacement(
         enumerate(univ), 2
     ):
         comp_p = memo.comparison(product_instance(a, b))
-        ca, cb = comps[ia], comps[ib]
+        ok = factors_ok[ia] and factors_ok[ib]
+        audit = _audit_product(comps[ia], comps[ib], comp_p, ok)
         where = f"product of [{_describe(a)}] and [{_describe(b)}]"
-        for rule_id, fa, fb, fp in (
-            ("product.weak_circ_preserved", ca.weak_circ, cb.weak_circ, comp_p.weak_circ),
-            (
-                "product.weak_bullet_preserved",
-                ca.weak_bullet,
-                cb.weak_bullet,
-                comp_p.weak_bullet,
-            ),
-            ("product.i_weak_preserved", ca.i_weak, cb.i_weak, comp_p.i_weak),
-        ):
-            if not _want(rule_ids, rule_id):
-                continue
-            s = stats.setdefault(rule_id, RuleStats())
-            if fa and fb:
-                s.applied += 1
-                if not fp:
-                    s.violations.append(f"{where} :: product loses the property")
-            else:
-                s.vacuous += 1
-        if _want(rule_ids, "product.zar_weak_factorizes"):
-            s = stats.setdefault("product.zar_weak_factorizes", RuleStats())
-            if zar_sep[ia] and zar_sep[ib] and semitop[ia] and semitop[ib]:
-                s.applied += 1
-                zar_ok = comp_p.bundle.zar == topo.product(
-                    ca.bundle.zar, cb.bundle.zar
-                )
-                weak_ok = comp_p.bundle.weak == topo.product(
-                    ca.bundle.weak, cb.bundle.weak
-                )
-                if not (zar_ok and weak_ok and comp_p.bundle.zar == comp_p.bundle.weak):
-                    s.violations.append(f"{where} :: zar/weak do not factorize")
-            else:
-                s.vacuous += 1
+        lost = f"{where} :: product loses the property"
+        lines = (lost, lost, lost, f"{where} :: zar/weak do not factorize")
+        # PRODUCT_RULE_IDS are in the order of the audit's fields
+        for rule_id, verdict, line in zip(PRODUCT_RULE_IDS, astuple(audit), lines):
+            _tally(stats, rule_ids, rule_id, verdict, 1, [line])
 
 
 def _main_conditions(inst, comp) -> tuple:

@@ -15,9 +15,6 @@ from . import topo, tsl
 from .core import (
     FinitePoset,
     NotASemilatticeError,
-    bits,
-    bound_extremum,
-    chain_and_directed,
     derived,
     full_mask,
     natural_order,
@@ -52,31 +49,20 @@ def multiplicative_cuts(x_instance: tsl.TopologizedSemigroup) -> list[int]:
     each such S is the support of a two-valued continuous homomorphism.
     """
     alg, top = x_instance.algebra, x_instance.topology
-    full = full_mask(alg.n)
-    cuts = []
-    for s in subsets(alg.n):
-        if not (top.is_open(s) and top.is_open(full ^ s)):
-            continue
-        ok = True
-        for x in range(alg.n):
-            for y in range(alg.n):
-                if (s >> alg.table[x][y] & 1) != (s >> x & 1 and s >> y & 1):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            cuts.append(s)
-    return cuts
+    t, rng = alg.table, range(alg.n)
+    return [
+        s
+        for s in subsets(alg.n)
+        if top.is_open(s)
+        and top.is_closed(s)
+        and all((s >> t[x][y] & 1) == (s >> x & s >> y & 1) for x in rng for y in rng)
+    ]
 
 
 def weak_topology(x_instance: tsl.TopologizedSemigroup) -> topo.FiniteTopology:
     """Initial topology of all continuous homomorphisms into the min-interval."""
     full = full_mask(x_instance.n)
-    subbase = []
-    for s in multiplicative_cuts(x_instance):
-        subbase.append(s)
-        subbase.append(full ^ s)
+    subbase = [c for s in multiplicative_cuts(x_instance) for c in (s, full ^ s)]
     return topo.generate_topology(x_instance.n, subbase)
 
 
@@ -92,64 +78,34 @@ def weak_topology_via_homs(x_instance: tsl.TopologizedSemigroup) -> topo.FiniteT
     return topo.generate_topology(x_instance.n, subbase)
 
 
-def upper_set_topology(poset: FinitePoset) -> topo.FiniteTopology:
-    """The family of all upper sets (always a topology on a finite poset)."""
-    opens = [
-        u
-        for u in subsets(poset.n)
-        if all(poset.up[x] & ~u == 0 for x in bits(u))
-    ]
-    return topo.canonical(poset.n, opens)
-
-
-def _directed_sups(poset: FinitePoset) -> dict[int, int]:
-    """sup of each nonempty up-directed subset that has one."""
-    out = {}
-    for d in subsets(poset.n):
-        if not d:
-            continue
-        if not chain_and_directed(poset, d).is_up_directed:
-            continue
-        s = bound_extremum(poset, d, "sup")
-        if s is not None:
-            out[d] = s
-    return out
-
-
 def scott_topology(poset: FinitePoset) -> topo.FiniteTopology:
     """Upper sets U such that every up-directed set with supremum in U meets U.
 
-    Computed by the literal definition and cross-checked against the
-    upper-set family, which it must equal on a finite poset.
+    On a finite poset: every upper set, since a directed set holds its
+    supremum.  These are the opens generated by the principal upper sets.
+    oracles.scott_topology_by_directed_sups is the literal route.
     """
-    sups = _directed_sups(poset)
-    opens = []
-    for u in subsets(poset.n):
-        if any(poset.up[x] & ~u for x in bits(u)):
-            continue
-        if all(d & u for d, s in sups.items() if u >> s & 1):
-            opens.append(u)
-    literal = topo.canonical(poset.n, opens)
-    if literal != upper_set_topology(poset):
-        raise AssertionError("directed-set and upper-set routes disagree")
-    return literal
+    return topo.generate_topology(poset.n, poset.up)
 
 
 def lawson_topology(poset: FinitePoset) -> topo.FiniteTopology:
-    """Generated by the Scott opens and the complements of principal upper
-    sets.  The Scott topology is derived once per poset object
-    (core.derived), so a comparison that needs both computes it once."""
-    full = full_mask(poset.n)
-    subbase = list(derived(poset, scott_topology).opens)
-    subbase.extend(full ^ poset.up[x] for x in range(poset.n))
-    return topo.generate_topology(poset.n, subbase)
+    """Generated by the Scott opens and the complements of principal upper sets.
+
+    Discrete on a finite poset, as it is T1: for y != x, either y is not
+    below x and X minus the upper set of y holds x but not y, or x is not
+    below y and the Scott-open upper set of x does.  A finite T1 space is
+    discrete.  oracles.lawson_topology_by_generation is the literal route.
+    """
+    return topo.discrete(poset.n)
 
 
 def interval_topology(poset: FinitePoset) -> topo.FiniteTopology:
-    full = full_mask(poset.n)
-    subbase = [full ^ poset.up[x] for x in range(poset.n)]
-    subbase.extend(full ^ poset.down(x) for x in range(poset.n))
-    return topo.generate_topology(poset.n, subbase)
+    """Generated by the complements of principal upper and lower sets.
+
+    Discrete on a finite poset, as lawson_topology is, with X minus the lower
+    set of y in place of the upper set of x (oracles has the literal route).
+    """
+    return topo.discrete(poset.n)
 
 
 @dataclass(frozen=True)

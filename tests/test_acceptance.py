@@ -9,7 +9,7 @@ import random
 import sys
 import time
 
-from topsl import cli, topo, tsl, verify, weak
+from topsl import cli, oracles, topo, tsl, verify, weak
 from topsl.core import FiniteSemigroup
 
 
@@ -84,12 +84,20 @@ def test_criterion_3_oracle_equivalences():
             break
     scott_ok = lawson_ok = interval_ok = True
     for n in range(1, 6):
+        disc = topo.discrete(n)
         for poset in verify.enumerate_posets(n):
-            if weak.scott_topology(poset) != weak.upper_set_topology(poset):
+            literal = oracles.scott_topology_by_directed_sups(poset)
+            if not (
+                weak.scott_topology(poset)
+                == literal
+                == oracles.upper_set_topology(poset)
+            ):
                 scott_ok = False
-            if weak.lawson_topology(poset) != topo.discrete(n):
+            lawson = oracles.lawson_topology_by_generation(poset)
+            if not weak.lawson_topology(poset) == lawson == disc:
                 lawson_ok = False
-            if weak.interval_topology(poset) != topo.discrete(n):
+            interval = oracles.interval_topology_by_generation(poset)
+            if not weak.interval_topology(poset) == interval == disc:
                 interval_ok = False
     _report(
         "criterion 3a: generated topology matches saturation oracle "
@@ -97,13 +105,13 @@ def test_criterion_3_oracle_equivalences():
         generated_ok,
     )
     _report(
-        "criterion 3b: literal directed-sup topology equals the upper-set "
-        "family on all posets n <= 5",
+        "criterion 3b: Scott topology equals the literal directed-sup "
+        "topology and the upper-set family on all posets n <= 5",
         scott_ok,
     )
     _report(
-        "criterion 3c: refined and order-interval topologies are discrete "
-        "on all posets n <= 5",
+        "criterion 3c: refined and order-interval topologies equal their "
+        "literal generation and are discrete on all posets n <= 5",
         lawson_ok and interval_ok,
     )
 

@@ -1,8 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from topsl import cli, topo, tsl, verify
+from topsl import cli, oracles, topo, tsl, verify
 from topsl.core import FinitePoset, FiniteSemilattice, natural_order
 
 SIERPINSKI_DOC = {
@@ -145,7 +149,7 @@ def test_cmd_check_json(instance_file, capsys):
 def test_cmd_check_dense_four_point_instances(x, topological, tmp_path, capsys):
     # dense tau: its self-product has 65,536 and 7,776 opens
     assert len(x.topology.opens) in (12, 16)
-    assert verify.joint_continuity_via_product(x) is topological
+    assert oracles.joint_continuity_via_product(x) is topological
     path = tmp_path / "dense.json"
     path.write_text(cli.serialize(x))
     assert cli.main(["check", str(path), "--format", "json"]) == 0
@@ -253,3 +257,36 @@ def test_exit_codes(instance_file, tmp_path, capsys):
     assert "missing full set" in err
     assert cli.main(["search", "--violate", "bogus", "--n-max", "1"]) == cli.VALIDATION_EXIT
     assert cli.main(["--help"]) == 0
+
+
+def test_parser_is_built_once_and_reused(instance_file, capsys, monkeypatch):
+    """Each call in one process prints and returns what the same call prints
+    and returns first thing in a fresh interpreter, though the parser is
+    built only once."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    calls = [
+        ["check", instance_file, "--format", "bogus"],
+        ["--help"],
+        ["check", instance_file, "--format", "json"],
+        ["derive", instance_file],
+        ["check", instance_file, "--format", "table"],
+    ]
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    fresh = [
+        subprocess.run(
+            [sys.executable, "-m", "topsl", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        for argv in calls
+    ]
+    assert [p.returncode for p in fresh] == [cli.USAGE_EXIT, 0, 0, 0, 0]
+    cli.build_parser.cache_clear()
+    for argv, p in zip(calls, fresh):
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert (out, err, code) == (p.stdout, p.stderr, p.returncode), argv
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(calls) - 1)

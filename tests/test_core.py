@@ -25,7 +25,7 @@ from topsl.core import (
     verify_semigroup,
     verify_semilattice,
 )
-from topsl.verify import enumerate_semilattices
+from topsl.verify import enumerate_posets, enumerate_semilattices
 
 MIN3 = FiniteSemilattice(3, tuple(tuple(min(x, y) for y in range(3)) for x in range(3)))
 DIAMOND = FiniteSemilattice(
@@ -109,6 +109,16 @@ def test_poset_validation():
         FinitePoset(2, (0b11, 0b11))
     with pytest.raises(ValueError, match="transitive"):
         FinitePoset(3, (0b011, 0b110, 0b100))
+
+
+def test_poset_down_rows_match_literal_definition():
+    for n in range(1, 5):
+        for poset in enumerate_posets(n):
+            for x in range(n):
+                literal = mask_of(z for z in range(n) if poset.leq(z, x))
+                assert poset.downs[x] == poset.down(x) == literal
+                assert cone(poset, 1 << x, "down") == literal
+            assert poset.dual().up == poset.downs
 
 
 def test_poset_dual_involution():

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from topsl import topo, tsl, verify
+from topsl import oracles, topo, tsl, verify
 from topsl.core import (
     FiniteSemigroup,
     FiniteSemilattice,
@@ -91,6 +91,47 @@ def test_order_profile():
         tsl.order_profile(inst(Z2, topo.discrete(2)))
 
 
+def _discrete_four_point():
+    return [
+        inst(sl, topo.discrete(4)) for sl in verify.enumerate_semilattices(4)
+    ]
+
+
+def test_order_profile_matches_chain_scan_oracle():
+    for x in verify.universe(3) + _discrete_four_point():
+        assert tsl.order_profile(x) == oracles.order_profile_by_scan(x)
+
+
+def test_enumerate_subsemigroups_matches_subset_scan_oracle():
+    for x in verify.universe(3):
+        for closed_only in (False, True):
+            assert tsl.enumerate_subsemigroups(
+                x, closed_only
+            ) == oracles.subsemigroups_by_scan(x, closed_only)
+
+
+def test_subsemigroups_are_derived_once_per_table(monkeypatch):
+    alg = FiniteSemilattice(2, MIN2.table)  # a fresh object: nothing derived
+    calls = []
+    real = tsl.subsemigroups
+
+    def counting(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(tsl, "subsemigroups", counting)
+    x = inst(alg, SIERPINSKI_TOP)
+    assert tsl.enumerate_subsemigroups(x) == [0, 0b01, 0b10, 0b11]
+    assert tsl.enumerate_subsemigroups(x, closed_only=True) == [0, 0b01, 0b11]
+    assert tsl.enumerate_subsemigroups(x.with_topology(topo.discrete(2)), True) == [
+        0,
+        0b01,
+        0b10,
+        0b11,
+    ]
+    assert len(calls) == 1 and calls[0] is alg
+
+
 def test_chain_semilattice():
     c3 = tsl.chain_semilattice(3)
     assert c3.algebra.meet(1, 2) == 1
@@ -111,7 +152,7 @@ def test_enumerate_chain_homs_respect_topology():
 
 
 def _topological_matches_product_oracle(x):
-    assert tsl.continuity_profile(x).topological == verify.joint_continuity_via_product(x)
+    assert tsl.continuity_profile(x).topological == oracles.joint_continuity_via_product(x)
 
 
 def test_topological_matches_product_oracle_on_universe_3():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topsl import cli, props, topo, tsl, verify, weak
+from topsl import cli, oracles, props, topo, tsl, verify, weak
 from topsl.core import FiniteSemigroup, FiniteSemilattice
 
 MIN2 = FiniteSemilattice(2, ((0, 0), (0, 1)))
@@ -246,7 +246,7 @@ def test_properties_are_relabeling_invariant(data):
 def test_meet_continuity_matches_scan():
     for n in (1, 2, 3, 4):
         for sl in verify.enumerate_semilattices(n):
-            assert props.is_meet_continuous(sl) == verify.is_meet_continuous_by_scan(sl)
+            assert props.is_meet_continuous(sl) == oracles.is_meet_continuous_by_scan(sl)
 
 
 def test_sweep_render_is_stable():
@@ -263,7 +263,7 @@ def test_zar_compact_centered_matches_scan():
         for sl in verify.enumerate_semilattices(4)
     ]
     for x in verify.universe(3) + discrete4:
-        assert props.zar_compact_centered(x) == verify.zar_compact_centered_by_scan(x)
+        assert props.zar_compact_centered(x) == oracles.zar_compact_centered_by_scan(x)
 
 
 def test_functorial_audit_constant_and_embedding():

@@ -1,6 +1,6 @@
 import pytest
 
-from topsl import topo, tsl, weak
+from topsl import oracles, topo, tsl, weak
 from topsl.core import (
     FiniteSemigroup,
     FiniteSemilattice,
@@ -74,9 +74,13 @@ def test_chain_hom_route_requires_semilattice():
 def test_scott_upper_and_lawson_discreteness_small_posets():
     for n in range(1, 5):
         for poset in enumerate_posets(n):
-            assert weak.scott_topology(poset) == weak.upper_set_topology(poset)
-            assert weak.lawson_topology(poset) == topo.discrete(n)
-            assert weak.interval_topology(poset) == topo.discrete(n)
+            literal = oracles.scott_topology_by_directed_sups(poset)
+            assert weak.scott_topology(poset) == literal
+            assert literal == oracles.upper_set_topology(poset)
+            lawson = oracles.lawson_topology_by_generation(poset)
+            assert weak.lawson_topology(poset) == lawson == topo.discrete(n)
+            interval = oracles.interval_topology_by_generation(poset)
+            assert weak.interval_topology(poset) == interval == topo.discrete(n)
 
 
 def test_comparison_inclusion_matrix():
