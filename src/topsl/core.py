@@ -93,8 +93,8 @@ def verify_semigroup(table) -> list[tuple[int, int, int]]:
     ]
 
 
-def verify_semilattice(table) -> list[tuple[str, tuple[int, ...]]]:
-    """Failed semilattice laws, each with a witness tuple."""
+def _idempotent_commutative_failures(table) -> list[tuple[str, tuple[int, ...]]]:
+    """Failed idempotent and commutative laws, each with a witness tuple."""
     n = _check_shape(table)
     failures: list[tuple[str, tuple[int, ...]]] = []
     for x in range(n):
@@ -104,6 +104,12 @@ def verify_semilattice(table) -> list[tuple[str, tuple[int, ...]]]:
         for y in range(x + 1, n):
             if table[x][y] != table[y][x]:
                 failures.append(("commutative", (x, y)))
+    return failures
+
+
+def verify_semilattice(table) -> list[tuple[str, tuple[int, ...]]]:
+    """Failed semilattice laws, each with a witness tuple."""
+    failures = _idempotent_commutative_failures(table)
     failures.extend(("associative", t) for t in verify_semigroup(table))
     return failures
 
@@ -150,8 +156,8 @@ class FiniteSemilattice(FiniteSemigroup):
     """A commutative idempotent (associative) operation table."""
 
     def __post_init__(self):
-        super().__post_init__()
-        bad = verify_semilattice(self.table)
+        super().__post_init__()  # associativity
+        bad = _idempotent_commutative_failures(self.table)
         if bad:
             law, witness = bad[0]
             raise NotASemilatticeError(f"{law} law fails at {witness}")

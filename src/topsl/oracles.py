@@ -7,14 +7,17 @@ its oracle here."""
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
-from . import topo, tsl
+from . import props, topo, tsl
 from .core import (
     FinitePoset,
     FiniteSemilattice,
+    NotASemilatticeError,
     bits,
     bound_extremum,
     chain_and_directed,
+    cone,
     derived,
     full_mask,
     natural_order,
@@ -137,7 +140,7 @@ def zar_compact_centered_by_scan(inst: tsl.TopologizedSemigroup) -> bool:
     family = [f for f in tsl.enumerate_subsemigroups(inst, closed_only=True) if f]
     for r in range(1, min(len(family), n + 1) + 1):
         for combo in itertools.combinations(family, r):
-            report = topo.centered_family_report(n, combo)
+            report = centered_family_report(n, combo)
             if report.is_centered and not report.total_intersection:
                 return False
     return True
@@ -161,3 +164,174 @@ def is_meet_continuous_by_scan(sl: FiniteSemilattice) -> bool:
             if bound_extremum(poset, ad, "sup") != sl.table[a][s]:
                 return False
     return True
+
+
+def separation_profile_by_scan(top: topo.FiniteTopology) -> topo.SeparationProfile:
+    """topo.separation_profile: T0 by closed sets that tell each pair apart,
+    T1 by closed singletons, T2 by pairs of disjoint opens, discreteness by
+    open singletons."""
+    n = top.n
+    closed = top.closed_sets()
+    t0 = all(
+        any((c >> x & 1) != (c >> y & 1) for c in closed)
+        for x, y in itertools.combinations(range(n), 2)
+    )
+    t1 = all(top.is_closed(1 << x) for x in range(n))
+    t2 = all(
+        any(
+            u >> x & 1 and v >> y & 1 and not u & v
+            for u in top.opens
+            for v in top.opens
+        )
+        for x, y in itertools.combinations(range(n), 2)
+    )
+    disc = all(top.is_open(1 << x) for x in range(n))
+    return topo.SeparationProfile(t0, t1, t2, disc)
+
+
+def two_topology_separated_by_scan(
+    fine: topo.FiniteTopology, coarse: topo.FiniteTopology
+) -> bool:
+    """props._two_topology_separated: for every ordered pair x != y, scan
+    the pairs of a coarse open around x and a fine open around y for a
+    disjoint one."""
+    n = fine.n
+    for x in range(n):
+        for y in range(n):
+            if x == y:
+                continue
+            if not any(
+                a >> x & 1 and b >> y & 1 and not a & b
+                for a in coarse.opens
+                for b in fine.opens
+            ):
+                return False
+    return True
+
+
+def uvw_profile_by_scan(x_instance: tsl.TopologizedSemigroup) -> props.UVWProfile:
+    """props.uvw_profile, checking U and W at every open set and W at every
+    nonempty F within it."""
+    alg, top = x_instance.algebra, x_instance.topology
+    if not alg.is_semilattice:
+        raise NotASemilatticeError("U/W/V profile needs a semilattice")
+    poset = derived(alg, natural_order)
+    n = alg.n
+    int_up = [topo.interior(top, poset.up[v]) for v in range(n)]
+
+    def u_ok(v_set: int, x: int) -> bool:
+        return any(int_up[v] >> x & 1 for v in bits(v_set))
+
+    def w_ok(v_set: int, x: int) -> bool:
+        elems = list(bits(v_set))
+        for r in range(1, len(elems) + 1):
+            for f in itertools.combinations(elems, r):
+                up_f = cone(poset, sum(1 << e for e in f), "up")
+                if topo.interior(top, up_f) >> x & 1:
+                    return True
+        return False
+
+    is_u = all(u_ok(v_set, x) for v_set in top.opens for x in bits(v_set))
+    is_w = all(w_ok(v_set, x) for v_set in top.opens for x in bits(v_set))
+    is_v = all(
+        any(not poset.leq(v, y) and int_up[v] >> x & 1 for v in range(n))
+        for x in range(n)
+        for y in range(n)
+        if not poset.leq(x, y)
+    )
+    return props.UVWProfile(is_u, is_w, is_v)
+
+
+def is_continuous_by_preimages(
+    src: topo.FiniteTopology, tgt: topo.FiniteTopology, mapping
+) -> bool:
+    """tsl.is_continuous: the preimage of every open set is open."""
+    return all(src.is_open(tsl.preimage(mapping, u, src.n)) for u in tgt.opens)
+
+
+def translations_continuous_by_preimages(x_instance: tsl.TopologizedSemigroup) -> bool:
+    """tsl.translations_continuous: the preimage of every open set under
+    every left and right translation is open."""
+    alg, top = x_instance.algebra, x_instance.topology
+    n = alg.n
+    for a in range(n):
+        left = [alg.table[a][x] for x in range(n)]
+        right = [alg.table[x][a] for x in range(n)]
+        for u in top.opens:
+            if not top.is_open(tsl.preimage(left, u, n)):
+                return False
+            if not top.is_open(tsl.preimage(right, u, n)):
+                return False
+    return True
+
+
+def subtopological_by_scan(x_instance: tsl.TopologizedSemigroup) -> bool:
+    """The subtopological flag of tsl.continuity_profile: test the closure
+    of every subsemigroup against the operation."""
+    alg, top = x_instance.algebra, x_instance.topology
+    return all(
+        tsl._is_subsemigroup(alg, topo.closure(top, s))
+        for s in tsl.enumerate_subsemigroups(x_instance, closed_only=False)
+    )
+
+
+def multiplicative_cuts_by_scan(x_instance: tsl.TopologizedSemigroup) -> list[int]:
+    """weak.multiplicative_cuts, walking every subset of the carrier."""
+    alg, top = x_instance.algebra, x_instance.topology
+    t, rng = alg.table, range(alg.n)
+    return [
+        s
+        for s in subsets(alg.n)
+        if top.is_open(s)
+        and top.is_closed(s)
+        and all((s >> t[x][y] & 1) == (s >> x & s >> y & 1) for x in rng for y in rng)
+    ]
+
+
+def family_within_by_opens(a: topo.FiniteTopology, b: topo.FiniteTopology) -> bool:
+    """weak.family_within: every open set of a is an open set of b."""
+    return set(a.opens) <= set(b.opens)
+
+
+@dataclass(frozen=True)
+class CenteredReport:
+    is_centered: bool
+    total_intersection: int
+
+
+def centered_family_report(n: int, sets) -> CenteredReport:
+    """Whether every nonempty finite subfamily has nonempty intersection.
+
+    Over a carrier of size n it suffices to check subfamilies of size up to
+    n + 1: a minimal subfamily with empty intersection shrinks strictly at
+    each step, so it has at most n + 1 members.
+    """
+    family = list(sets)
+    if not family:
+        raise ValueError("centered-family check needs a nonempty family")
+    total = full_mask(n)
+    for s in family:
+        total &= s
+    centered = True
+    cap = min(len(family), n + 1)
+    for r in range(1, cap + 1):
+        for combo in itertools.combinations(family, r):
+            inter = full_mask(n)
+            for s in combo:
+                inter &= s
+            if not inter:
+                centered = False
+                break
+        if not centered:
+            break
+    return CenteredReport(centered, total)
+
+
+def weak_topology_via_homs(x_instance: tsl.TopologizedSemigroup) -> topo.FiniteTopology:
+    """weak.weak_topology for semilattices: generated by the fibers of every
+    continuous homomorphism onto a discrete min-chain."""
+    subbase = []
+    for h in tsl.enumerate_chain_homs(x_instance):
+        for c in range(h.target.n):
+            subbase.append(tsl.preimage(h.mapping, 1 << c, x_instance.n))
+    return topo.generate_topology(x_instance.n, subbase)

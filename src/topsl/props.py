@@ -10,11 +10,9 @@ from . import topo, tsl, weak
 from .core import (
     NotASemilatticeError,
     bits,
-    cone,
     derived,
     full_mask,
     is_linear,
-    is_shift_homomorphic,
     natural_order,
 )
 
@@ -27,34 +25,27 @@ class UVWProfile:
 
 
 def uvw_profile(x_instance: tsl.TopologizedSemigroup) -> UVWProfile:
+    """U: every open V and x in V have some v in V with x in int(up v).
+    Checking V = M_x suffices, as M_x lies within every open V around x.
+    W: the same with a nonempty finite F within V and int(up F) in place of
+    int(up v); it always holds, with F = V, as V is open and V lies within
+    up V.  oracles.uvw_profile_by_scan scans every open V (and every F)."""
     alg, top = x_instance.algebra, x_instance.topology
     if not alg.is_semilattice:
         raise NotASemilatticeError("U/W/V profile needs a semilattice")
     poset = derived(alg, natural_order)
     n = alg.n
     int_up = [topo.interior(top, poset.up[v]) for v in range(n)]
-
-    def u_ok(v_set: int, x: int) -> bool:
-        return any(int_up[v] >> x & 1 for v in bits(v_set))
-
-    def w_ok(v_set: int, x: int) -> bool:
-        elems = list(bits(v_set))
-        for r in range(1, len(elems) + 1):
-            for f in itertools.combinations(elems, r):
-                up_f = cone(poset, sum(1 << e for e in f), "up")
-                if topo.interior(top, up_f) >> x & 1:
-                    return True
-        return False
-
-    is_u = all(u_ok(v_set, x) for v_set in top.opens for x in bits(v_set))
-    is_w = all(w_ok(v_set, x) for v_set in top.opens for x in bits(v_set))
+    is_u = all(
+        any(int_up[v] >> x & 1 for v in bits(m)) for x, m in enumerate(top.minimal)
+    )
     is_v = all(
         any(not poset.leq(v, y) and int_up[v] >> x & 1 for v in range(n))
         for x in range(n)
         for y in range(n)
         if not poset.leq(x, y)
     )
-    return UVWProfile(is_u, is_w, is_v)
+    return UVWProfile(is_u, True, is_v)
 
 
 @dataclass(frozen=True)
@@ -85,19 +76,13 @@ def _two_topology_separated(
     fine: topo.FiniteTopology, coarse: topo.FiniteTopology
 ) -> bool:
     """Every ordered pair x != y has disjoint neighborhoods, x in a
-    coarse-topology open and y in a fine-topology open."""
-    n = fine.n
-    for x in range(n):
-        for y in range(n):
-            if x == y:
-                continue
-            if not any(
-                a >> x & 1 and b >> y & 1 and not a & b
-                for a in coarse.opens
-                for b in fine.opens
-            ):
-                return False
-    return True
+    coarse-topology open and y in a fine-topology open: exactly when the
+    smallest such, coarse M_x and fine M_y, are disjoint.
+    oracles.two_topology_separated_by_scan scans pairs of opens."""
+    cm, fm = coarse.minimal, fine.minimal
+    return not any(
+        cm[x] & fm[y] for x in range(fine.n) for y in range(fine.n) if x != y
+    )
 
 
 def separation_suite(
@@ -252,7 +237,7 @@ def property_vector(
         i_weak=comparison.i_weak,
         meet_continuous=derived(alg, is_meet_continuous),
         linear=derived(alg, is_linear),
-        shift_homomorphic=derived(alg, is_shift_homomorphic),
+        shift_homomorphic=True,  # a*x*a*y = a*a*x*y = a*x*y in a semilattice
         zar_compact_centered=zar_compact_centered(x_instance),
         t0=sep.t0,
         t1=sep.t1,

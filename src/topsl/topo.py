@@ -153,23 +153,18 @@ class SeparationProfile:
 
 
 def separation_profile(top: FiniteTopology) -> SeparationProfile:
-    n = top.n
-    closed = top.closed_sets()
-    t0 = all(
-        any((c >> x & 1) != (c >> y & 1) for c in closed)
-        for x, y in itertools.combinations(range(n), 2)
+    """T0 fails exactly when two points lie in each other's M_x, as then
+    every open set holds both or neither.  A finite T1 or T2 space is
+    discrete (each singleton is the finite intersection of the opens missing
+    the other points), and discrete means every M_x = {x}.
+    oracles.separation_profile_by_scan scans the open and closed sets."""
+    m = top.minimal
+    t0 = not any(
+        m[x] >> y & 1 and m[y] >> x & 1
+        for x, y in itertools.combinations(range(top.n), 2)
     )
-    t1 = all(top.is_closed(1 << x) for x in range(n))
-    t2 = all(
-        any(
-            u >> x & 1 and v >> y & 1 and not u & v
-            for u in top.opens
-            for v in top.opens
-        )
-        for x, y in itertools.combinations(range(n), 2)
-    )
-    disc = all(top.is_open(1 << x) for x in range(n))
-    return SeparationProfile(t0, t1, t2, disc)
+    disc = all(mx == 1 << x for x, mx in enumerate(m))
+    return SeparationProfile(t0, disc, disc, disc)
 
 
 def specialization_preorder(top: FiniteTopology) -> tuple[int, ...]:
@@ -211,37 +206,3 @@ def product(top1: FiniteTopology, top2: FiniteTopology) -> FiniteTopology:
     # the minimal neighbourhood of the pair (x, y) is the box M_x x M_y
     boxes = [box_mask(a, b, top2.n) for a in top1.minimal for b in top2.minimal]
     return _union_closure(n, boxes)
-
-
-@dataclass(frozen=True)
-class CenteredReport:
-    is_centered: bool
-    total_intersection: int
-
-
-def centered_family_report(n: int, sets) -> CenteredReport:
-    """Whether every nonempty finite subfamily has nonempty intersection.
-
-    Over a carrier of size n it suffices to check subfamilies of size up to
-    n + 1: a minimal subfamily with empty intersection shrinks strictly at
-    each step, so it has at most n + 1 members.
-    """
-    family = list(sets)
-    if not family:
-        raise ValueError("centered-family check needs a nonempty family")
-    total = full_mask(n)
-    for s in family:
-        total &= s
-    centered = True
-    cap = min(len(family), n + 1)
-    for r in range(1, cap + 1):
-        for combo in itertools.combinations(family, r):
-            inter = full_mask(n)
-            for s in combo:
-                inter &= s
-            if not inter:
-                centered = False
-                break
-        if not centered:
-            break
-    return CenteredReport(centered, total)

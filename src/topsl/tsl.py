@@ -55,7 +55,16 @@ def is_homomorphism(src: FiniteSemigroup, tgt: FiniteSemigroup, mapping) -> bool
 def is_continuous(
     src: topo.FiniteTopology, tgt: topo.FiniteTopology, mapping
 ) -> bool:
-    return all(src.is_open(preimage(mapping, u, src.n)) for u in tgt.opens)
+    """A map f is continuous iff f(M_x) lies within M_f(x) for every x: the
+    preimage of an open set around f(x) then holds M_x, and conversely the
+    preimage of M_f(x) must.  oracles.is_continuous_by_preimages tests the
+    preimage of every open set."""
+    tm = tgt.minimal
+    return all(
+        tm[mapping[x]] >> mapping[y] & 1
+        for x, mx in enumerate(src.minimal)
+        for y in bits(mx)
+    )
 
 
 @dataclass(frozen=True)
@@ -83,17 +92,16 @@ class ContinuityProfile:
 
 
 def translations_continuous(x_instance: TopologizedSemigroup) -> bool:
-    alg, top = x_instance.algebra, x_instance.topology
-    n = alg.n
-    for a in range(n):
-        left = [alg.table[a][x] for x in range(n)]
-        right = [alg.table[x][a] for x in range(n)]
-        for u in top.opens:
-            if not top.is_open(preimage(left, u, n)):
-                return False
-            if not top.is_open(preimage(right, u, n)):
-                return False
-    return True
+    """Whether every translation x -> a*x and x -> x*a is continuous, each
+    decided from the minimal neighbourhoods by is_continuous.
+    oracles.translations_continuous_by_preimages tests every preimage."""
+    t, top = x_instance.algebra.table, x_instance.topology
+    rng = range(x_instance.n)
+    return all(
+        is_continuous(top, top, t[a])
+        and is_continuous(top, top, [t[x][a] for x in rng])
+        for a in rng
+    )
 
 
 def continuity_profile(x_instance: TopologizedSemigroup) -> ContinuityProfile:
@@ -109,10 +117,9 @@ def continuity_profile(x_instance: TopologizedSemigroup) -> ContinuityProfile:
         for b in bits(m[y])
     )
     semitopological = translations_continuous(x_instance)
-    subtopological = all(
-        _is_subsemigroup(alg, topo.closure(top, s))
-        for s in enumerate_subsemigroups(x_instance, closed_only=False)
-    )
+    subs = derived(alg, subsemigroups)
+    known = frozenset(subs)
+    subtopological = all(topo.closure(top, s) in known for s in subs)
     return ContinuityProfile(topological, semitopological, subtopological)
 
 

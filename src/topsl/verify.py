@@ -43,6 +43,7 @@ ENUM_MAX = 5
 CANON_MAX = 6
 SWEEP_MAX = 4
 SEARCH_MAX = 3  # search walks labeled instances
+THREADS_MAX = 16  # a threaded sweep starts one thread per shard
 
 
 # ---------------------------------------------------------------------------
@@ -1202,6 +1203,8 @@ def sweep(
         raise ValueError(f"sweep supports n_max in 1..{SWEEP_MAX}, got {n_max}")
     if threads < 1:
         raise ValueError("threads must be positive")
+    if threads > THREADS_MAX:
+        raise ValueError(f"threads must be at most {THREADS_MAX}, got {threads}")
     if rule_ids is not None:
         rule_ids = frozenset(rule_ids)
         unknown = rule_ids - set(ALL_RULE_IDS)

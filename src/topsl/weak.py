@@ -18,7 +18,6 @@ from .core import (
     derived,
     full_mask,
     natural_order,
-    subsets,
 )
 
 TOPOLOGY_NAMES = ("tau", "law", "zar", "weak", "scott", "lawson", "interval")
@@ -47,14 +46,15 @@ def multiplicative_cuts(x_instance: tsl.TopologizedSemigroup) -> list[int]:
     the min-interval: every such homomorphism has a finite chain image, its
     level sets are clopen and multiplicatively biconditional, and conversely
     each such S is the support of a two-valued continuous homomorphism.
+    A cut is open, so the walk covers the open sets only, in their ascending
+    order; oracles.multiplicative_cuts_by_scan walks every subset.
     """
     alg, top = x_instance.algebra, x_instance.topology
     t, rng = alg.table, range(alg.n)
     return [
         s
-        for s in subsets(alg.n)
-        if top.is_open(s)
-        and top.is_closed(s)
+        for s in top.opens
+        if top.is_closed(s)
         and all((s >> t[x][y] & 1) == (s >> x & s >> y & 1) for x in rng for y in rng)
     ]
 
@@ -63,18 +63,6 @@ def weak_topology(x_instance: tsl.TopologizedSemigroup) -> topo.FiniteTopology:
     """Initial topology of all continuous homomorphisms into the min-interval."""
     full = full_mask(x_instance.n)
     subbase = [c for s in multiplicative_cuts(x_instance) for c in (s, full ^ s)]
-    return topo.generate_topology(x_instance.n, subbase)
-
-
-def weak_topology_via_homs(x_instance: tsl.TopologizedSemigroup) -> topo.FiniteTopology:
-    """Literal route for semilattices: generate from chain-homomorphism fibers.
-
-    Retained as an independent cross-check of weak_topology.
-    """
-    subbase = []
-    for h in tsl.enumerate_chain_homs(x_instance):
-        for c in range(h.target.n):
-            subbase.append(tsl.preimage(h.mapping, 1 << c, x_instance.n))
     return topo.generate_topology(x_instance.n, subbase)
 
 
@@ -103,9 +91,10 @@ def interval_topology(poset: FinitePoset) -> topo.FiniteTopology:
     """Generated by the complements of principal upper and lower sets.
 
     Discrete on a finite poset, as lawson_topology is, with X minus the lower
-    set of y in place of the upper set of x (oracles has the literal route).
+    set of y in place of the upper set of x (oracles has the literal route);
+    so it is the poset's Lawson topology object itself.
     """
-    return topo.discrete(poset.n)
+    return derived(poset, lawson_topology)
 
 
 @dataclass(frozen=True)
@@ -132,7 +121,10 @@ class ComparisonReport:
 
 
 def family_within(a: topo.FiniteTopology, b: topo.FiniteTopology) -> bool:
-    return set(a.opens) <= set(b.opens)
+    """Every a-open is b-open iff b.M_x lies within a.M_x for every x: each
+    a-open U is then the union of the b.M_x of its points.
+    oracles.family_within_by_opens compares the open-set families."""
+    return all(bm & ~am == 0 for am, bm in zip(a.minimal, b.minimal))
 
 
 def topology_comparison(x_instance: tsl.TopologizedSemigroup) -> ComparisonReport:

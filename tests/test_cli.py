@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
-from topsl import cli, oracles, topo, tsl, verify
-from topsl.core import FinitePoset, FiniteSemilattice, natural_order
+from topsl import cli, core, oracles, props, topo, tsl, verify, weak
+from topsl.core import FinitePoset, FiniteSemilattice, bits, natural_order
 
 SIERPINSKI_DOC = {
     "schema_version": 1,
@@ -290,3 +290,114 @@ def test_parser_is_built_once_and_reused(instance_file, capsys, monkeypatch):
         assert (out, err, code) == (p.stdout, p.stderr, p.returncode), argv
     info = cli.build_parser.cache_info()
     assert (info.misses, info.hits) == (1, len(calls) - 1)
+
+
+def _check_report(x, names):
+    """The check report as a dict: `check --format json` must print
+    exactly json.dumps(report, indent=2)."""
+    comp = weak.topology_comparison(x)
+    pv = props.property_vector(x, comp).as_dict()
+    return {
+        "schema_version": cli.SCHEMA_VERSION,
+        "properties": {k: v for k, v in sorted(pv.items())},
+        "topologies": {
+            name: [[names[i] for i in bits(u)] for u in top.opens]
+            for name, top in comp.bundle.as_dict().items()
+        },
+        "inclusion_order": list(weak.TOPOLOGY_NAMES),
+        "inclusion": [list(row) for row in comp.inclusion],
+    }
+
+
+def test_check_json_matches_json_dumps_byte_for_byte(tmp_path, capsys):
+    odd = ['q"', "b\\", "é", "t\tab"]
+    cases = [(x, None) for x in verify.universe(3)]
+    cases.append((tsl.chain_semilattice(5), None))
+    cases.append((tsl.TopologizedSemigroup(tsl.chain_semilattice(4).algebra, topo.indiscrete(4)), odd))
+    cases.append((tsl.chain_semilattice(4), odd))
+    path = tmp_path / "x.json"
+    for x, names in cases:
+        names = names or [f"e{i}" for i in range(x.n)]
+        path.write_text(cli.serialize(x, names), encoding="utf-8")
+        assert cli.main(["check", str(path), "--format", "json"]) == 0
+        want = json.dumps(_check_report(x, names), indent=2) + "\n"
+        assert capsys.readouterr().out == want
+    assert "\\u00e9" in want and '"q\\""' in want and "\\t" in want
+
+
+def _meet_doc(table):
+    names = ["a", "b", "c"]
+    return {
+        "schema_version": 1,
+        "elements": names,
+        "meet": [[names[v] for v in row] for row in table],
+        "opens": [[], names],
+    }
+
+
+@pytest.mark.parametrize("key", ["meet", "op"])
+def test_check_scans_associativity_twice(key, tmp_path, capsys, monkeypatch):
+    calls = []
+    real = core.verify_semigroup
+
+    def counting(table):
+        calls.append(table)
+        return real(table)
+
+    monkeypatch.setattr(core, "verify_semigroup", counting)
+    monkeypatch.setattr(cli, "verify_semigroup", counting)
+    doc = _meet_doc([[0, 0, 0], [0, 1, 0], [0, 0, 2]])
+    doc[key] = doc.pop("meet")
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check", str(path)]) == 0
+    capsys.readouterr()
+    # one scan in document_to_instance, one in the FiniteSemigroup constructor
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "key, table, message",
+    [
+        # not associative ((a*a)*a = c, a*(a*a) = a) and not commutative:
+        # associativity is reported first
+        ("meet", [[1, 0, 2], [2, 1, 0], [0, 0, 2]], "table is not associative at (a, a, a)"),
+        ("op", [[1, 0, 2], [2, 1, 0], [0, 0, 2]], "table is not associative at (a, a, a)"),
+        ("meet", [[0, 0, 0], [1, 1, 1], [2, 2, 2]], "meet table fails the commutative law at (0, 1)"),
+        ("meet", [[1, 0, 0], [0, 1, 1], [0, 1, 2]], "meet table fails the idempotent law at (0,)"),
+    ],
+)
+def test_table_error_messages(key, table, message):
+    doc = _meet_doc(table)
+    doc[key] = doc.pop("meet")
+    with pytest.raises(cli.InstanceFormatError) as exc:
+        cli.parse_instance(json.dumps(doc))
+    assert str(exc.value) == message
+
+
+def test_carrier_bound_is_checked_before_the_table(tmp_path, capsys):
+    names = [f"e{i}" for i in range(cli.CLI_MAX + 1)]
+    doc = {"schema_version": 1, "elements": names, "meet": "never read", "opens": []}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["check", str(path)], ["derive", str(path)], ["export", str(path)]):
+        assert cli.main(argv) == cli.VALIDATION_EXIT
+        err = capsys.readouterr().err
+        assert err == f"error: at most {cli.CLI_MAX} elements are supported, got {cli.CLI_MAX + 1}\n"
+    doc["elements"] = names[:-1]
+    with pytest.raises(cli.InstanceFormatError, match="operation table must have"):
+        cli.parse_document(json.dumps(doc))
+
+
+def test_sweep_rejects_too_many_threads_before_starting_any(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(verify, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(verify, "instance_classes", no_pool)
+    too_many = str(verify.THREADS_MAX + 1)
+    assert cli.main(["sweep", "--n-max", "1", "--threads", too_many]) == cli.VALIDATION_EXIT
+    err = capsys.readouterr().err
+    assert err == f"error: threads must be at most {verify.THREADS_MAX}, got {too_many}\n"
+    with pytest.raises(ValueError, match="at most"):
+        verify.sweep(1, threads=verify.THREADS_MAX + 1)

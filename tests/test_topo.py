@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topsl import topo
+from topsl import oracles, topo
 from topsl.core import bits, full_mask, mask_of, subsets
 from topsl.verify import enumerate_topologies, saturate_family
 
@@ -180,9 +180,9 @@ def test_product_box_openness():
 
 
 def test_centered_family_report():
-    rep = topo.centered_family_report(3, [0b011, 0b110])
+    rep = oracles.centered_family_report(3, [0b011, 0b110])
     assert rep.is_centered and rep.total_intersection == 0b010
-    rep = topo.centered_family_report(3, [0b001, 0b110])
+    rep = oracles.centered_family_report(3, [0b001, 0b110])
     assert not rep.is_centered and rep.total_intersection == 0
     with pytest.raises(ValueError):
-        topo.centered_family_report(3, [])
+        oracles.centered_family_report(3, [])
