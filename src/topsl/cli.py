@@ -143,20 +143,27 @@ def document_to_instance(doc: InstanceDocument) -> tsl.TopologizedSemigroup:
     if mask_of(range(n)) not in present:
         raise InstanceFormatError("missing full set")
 
-    def label(mask: int) -> str:
-        return _set_label(doc.elements[i] for i in bits(mask))
+    try:
+        top = topo.canonical(n, masks)
+    except ValueError:
+        # the family is not closed under union and intersection; name the
+        # first missing union or intersection of two listed opens
+        def label(mask: int) -> str:
+            return _set_label(doc.elements[i] for i in bits(mask))
 
-    for a in masks:
-        for b in masks:
-            if a | b not in present:
-                raise InstanceFormatError(
-                    f"missing union of {label(a)} and {label(b)}: {label(a | b)}"
-                )
-            if a & b not in present:
-                raise InstanceFormatError(
-                    f"missing intersection of {label(a)} and {label(b)}: {label(a & b)}"
-                )
-    return tsl.TopologizedSemigroup(algebra, topo.canonical(n, masks))
+        for a in masks:
+            for b in masks:
+                if a | b not in present:
+                    raise InstanceFormatError(
+                        f"missing union of {label(a)} and {label(b)}: {label(a | b)}"
+                    )
+                if a & b not in present:
+                    raise InstanceFormatError(
+                        f"missing intersection of {label(a)} and {label(b)}: "
+                        f"{label(a & b)}"
+                    )
+        raise
+    return tsl.TopologizedSemigroup(algebra, top)
 
 
 def parse_instance(text: str) -> tsl.TopologizedSemigroup:
@@ -169,6 +176,22 @@ def serialize(inst: tsl.TopologizedSemigroup, names=None) -> str:
 
 # ---------------------------------------------------------------------------
 # DOT export
+
+
+def _open_covers(top: topo.FiniteTopology) -> list[tuple[int, int]]:
+    """The Hasse edges (i, j) of the inclusion order of top's opens, as
+    indices into top.opens.  An open v covers u exactly when it is minimal
+    among the sets u | M_x for x outside u: any open strictly above u that
+    contains x also contains u | M_x.  oracles.open_covers_by_scan scans the
+    inclusion poset of all opens."""
+    index = {u: i for i, u in enumerate(top.opens)}
+    edges = []
+    for i, u in enumerate(top.opens):
+        above = {u | m for x, m in enumerate(top.minimal) if not u >> x & 1}
+        for v in above:
+            if not any(w != v and w & ~v == 0 for w in above):
+                edges.append((i, index[v]))
+    return edges
 
 
 def _hasse_edges(poset: FinitePoset) -> list[tuple[int, int]]:
@@ -206,16 +229,11 @@ def export_dot(obj, names=None) -> str:
     if isinstance(obj, topo.FiniteTopology):
         if names is None:
             names = [f"e{i}" for i in range(obj.n)]
-        idx = {u: i for i, u in enumerate(obj.opens)}
-        rows = tuple(
-            mask_of(idx[v] for v in obj.opens if u | v == v) for u in obj.opens
-        )
-        inclusion = FinitePoset(len(obj.opens), rows)
         lines = ["digraph opens {"]
         for i, u in enumerate(obj.opens):
             label = _set_label(names[e] for e in bits(u))
             lines.append(f'  n{i} [label="{label}"];')
-        for x, y in sorted(_hasse_edges(inclusion)):
+        for x, y in sorted(_open_covers(obj)):
             lines.append(f"  n{x} -> n{y};")
         lines.append("}")
         return "\n".join(lines) + "\n"

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import props, topo, tsl
+from . import cli, props, topo, tsl, verify
 from .core import (
     FinitePoset,
     FiniteSemilattice,
@@ -20,6 +20,7 @@ from .core import (
     cone,
     derived,
     full_mask,
+    mask_of,
     natural_order,
     subsets,
 )
@@ -286,6 +287,31 @@ def multiplicative_cuts_by_scan(x_instance: tsl.TopologizedSemigroup) -> list[in
         and top.is_closed(s)
         and all((s >> t[x][y] & 1) == (s >> x & s >> y & 1) for x in rng for y in rng)
     ]
+
+
+def enumerate_semilattices_by_bounds(n: int) -> list[FiniteSemilattice]:
+    """verify.enumerate_semilattices, finding each meet as the greatest lower
+    bound of the pair (core.bound_extremum)."""
+    out = []
+    for poset in verify.enumerate_posets(n):
+        meets = [
+            [bound_extremum(poset, 1 << x | 1 << y, "inf") for y in range(n)]
+            for x in range(n)
+        ]
+        if all(m is not None for row in meets for m in row):
+            out.append(FiniteSemilattice(n, tuple(tuple(row) for row in meets)))
+    out.sort(key=lambda sl: sl.table)
+    return out
+
+
+def open_covers_by_scan(top: topo.FiniteTopology) -> list[tuple[int, int]]:
+    """cli._open_covers: the Hasse edges of the inclusion poset of all opens,
+    scanning every triple for an open in between."""
+    index = {u: i for i, u in enumerate(top.opens)}
+    rows = tuple(
+        mask_of(index[v] for v in top.opens if u | v == v) for u in top.opens
+    )
+    return cli._hasse_edges(FinitePoset(len(top.opens), rows))
 
 
 def family_within_by_opens(a: topo.FiniteTopology, b: topo.FiniteTopology) -> bool:

@@ -100,20 +100,18 @@ def enumerate_semilattices(n: int) -> list[FiniteSemilattice]:
     greatest lower bound; sorted ascending by flattened table."""
     out = []
     for poset in enumerate_posets(n):
-        meets = {}
-        ok = True
-        for x in range(n):
-            for y in range(n):
-                m = bound_extremum(poset, 1 << x | 1 << y, "inf")
-                if m is None:
-                    ok = False
-                    break
-                meets[x, y] = m
-            if not ok:
-                break
-        if ok:
-            table = tuple(tuple(meets[x, y] for y in range(n)) for x in range(n))
-            out.append(FiniteSemilattice(n, table))
+        # x and y have a meet exactly when their common lower bounds form
+        # the down-set of one point, and that point is the meet
+        downs = poset.downs
+        point_of = {d: x for x, d in enumerate(downs)}
+        try:
+            table = tuple(
+                tuple(point_of[downs[x] & downs[y]] for y in range(n))
+                for x in range(n)
+            )
+        except KeyError:
+            continue
+        out.append(FiniteSemilattice(n, table))
     out.sort(key=lambda sl: sl.table)
     return out
 
@@ -978,9 +976,12 @@ def semilattice_classes(n: int) -> list[tuple[FiniteSemilattice, tuple]]:
     return out
 
 
-def instance_classes(n_max: int) -> list[tuple[tsl.TopologizedSemigroup, int]]:
+def instance_classes(
+    n_max: int, semilattices=semilattice_classes
+) -> list[tuple[tsl.TopologizedSemigroup, int]]:
     """One instance per isomorphism class up to n_max, in sweep order, with
-    the size of its labeled orbit.
+    the size of its labeled orbit.  semilattices(n) gives the semilattice
+    classes on n points (semilattice_classes, or a sweep's memo of it).
 
     Over each semilattice representative S the topologies fall into orbits
     of Aut(S); the first topology of an orbit in enumerate_topologies order
@@ -990,7 +991,7 @@ def instance_classes(n_max: int) -> list[tuple[tsl.TopologizedSemigroup, int]]:
     out = []
     for n in range(1, n_max + 1):
         tops = enumerate_topologies(n)
-        for sl, aut in semilattice_classes(n):
+        for sl, aut in semilattices(n):
             tables = math.factorial(n) // len(aut)
             seen = set()
             for top in tops:
@@ -1003,9 +1004,11 @@ def instance_classes(n_max: int) -> list[tuple[tsl.TopologizedSemigroup, int]]:
 
 
 class SweepMemo:
-    """What one sweep computes once: the comparison report of each distinct
-    instance, and the order data of each distinct semilattice table, derived
-    (core.derived) on the one algebra object the memo keeps for that table.
+    """What one sweep computes once: the semilattice classes on each carrier
+    size, the comparison report of each distinct instance, the subspace
+    topology of each distinct (topology, subset) pair, and the order data of
+    each distinct semilattice table, derived (core.derived) on the one
+    algebra object the memo keeps for that table.
 
     Owned by one sweep() call and dropped when it returns.  The shards of a
     threaded sweep share it; two threads that miss the same entry at once
@@ -1015,6 +1018,20 @@ class SweepMemo:
     def __init__(self):
         self.algebras: dict = {}
         self.comparisons: dict = {}
+        self.subspaces: dict = {}
+        self.sl_classes: dict = {}
+
+    def semilattices(self, n: int) -> list[tuple[FiniteSemilattice, tuple]]:
+        out = self.sl_classes.get(n)
+        if out is None:
+            out = self.sl_classes[n] = semilattice_classes(n)
+        return out
+
+    def subspace(self, top: topo.FiniteTopology, s: int) -> topo.FiniteTopology:
+        out = self.subspaces.get((top, s))
+        if out is None:
+            out = self.subspaces[top, s] = topo.subspace(top, s)
+        return out
 
     def instance(self, inst: tsl.TopologizedSemigroup) -> tsl.TopologizedSemigroup:
         """inst on the algebra object this memo keeps for its table."""
@@ -1082,7 +1099,7 @@ def _tally(stats, rule_ids, rule_id, verdict, weight, violations) -> None:
 
 def _evaluate_sub_rules(inst, comp, pv, stats, rule_ids, where, memo, weight) -> None:
     for s_mask, sub_alg in derived(inst.algebra, sub_algebras):
-        sub = tsl.TopologizedSemigroup(sub_alg, topo.subspace(inst.topology, s_mask))
+        sub = tsl.TopologizedSemigroup(sub_alg, memo.subspace(inst.topology, s_mask))
         sub_comp = memo.comparison(sub)
         lost = [f"{where} :: subsemigroup {s_mask:#x} loses the property"]
         for rule_id, flag in (
@@ -1094,7 +1111,7 @@ def _evaluate_sub_rules(inst, comp, pv, stats, rule_ids, where, memo, weight) ->
             _tally(stats, rule_ids, rule_id, inherited, weight, lost)
         coincides = None
         if pv["subtopological"]:
-            coincides = sub_comp.bundle.zar == topo.subspace(comp.bundle.zar, s_mask)
+            coincides = sub_comp.bundle.zar == memo.subspace(comp.bundle.zar, s_mask)
         not_trace = [f"{where} :: zar of subsemigroup {s_mask:#x} is not the trace"]
         rule_id = "sub.zar_subspace_coincides"
         _tally(stats, rule_ids, rule_id, coincides, weight, not_trace)
@@ -1103,40 +1120,52 @@ def _evaluate_sub_rules(inst, comp, pv, stats, rule_ids, where, memo, weight) ->
 _CLAUSES = ("continuity", "openness", "closedness", "embedding")
 
 
-def _hom_phase(univ, rule_ids, stats, memo) -> None:
+def _hom_phase(classes, rule_ids, stats, memo) -> None:
+    """Every continuous hom between two class representatives counts w_a*w_b
+    times: each labeled hom between members of the two orbits is conjugate
+    to exactly one hom between the representatives."""
     derived3 = [
-        (b.law, b.zar, b.weak) for b in (memo.comparison(x).bundle for x in univ)
+        (b.law, b.zar, b.weak) for b in (memo.comparison(x).bundle for x, _ in classes)
     ]
-    subtop = [tsl.continuity_profile(inst).subtopological for inst in univ]
-    for (ia, a), (ib, b) in itertools.product(enumerate(univ), repeat=2):
+    subtop = [tsl.continuity_profile(x).subtopological for x, _ in classes]
+    for (ia, (a, wa)), (ib, (b, wb)) in itertools.product(enumerate(classes), repeat=2):
         for mapping in itertools.product(range(b.n), repeat=a.n):
             if not is_homomorphism(a.algebra, b.algebra, mapping):
                 continue
             if not tsl.is_continuous(a.topology, b.topology, mapping):
                 continue
             audit = _audit_hom(a, b, derived3[ia], derived3[ib], mapping, subtop[ib])
-            where = f"hom {mapping} from [{_describe(a)}] to [{_describe(b)}]"
+            where = (
+                f"hom {mapping} from [{_describe(a)} orbit={wa}] "
+                f"to [{_describe(b)} orbit={wb}]"
+            )
             # HOM_RULE_IDS are in the order of the audit's fields
             for rule_id, verdict, clause in zip(HOM_RULE_IDS, astuple(audit), _CLAUSES):
                 lines = [f"{where} :: {d}" for d in audit.details if d.endswith(clause)]
-                _tally(stats, rule_ids, rule_id, verdict, 1, lines)
+                _tally(stats, rule_ids, rule_id, verdict, wa * wb, lines)
 
 
-def _product_phase(univ, rule_ids, stats, memo) -> None:
-    comps = [memo.comparison(inst) for inst in univ]
-    factors_ok = [_factors_hypothesis(x, comp) for x, comp in zip(univ, comps)]
-    for (ia, a), (ib, b) in itertools.combinations_with_replacement(
-        enumerate(univ), 2
+def _product_phase(classes, rule_ids, stats, memo) -> None:
+    """Every unordered pair of class representatives, the same one twice
+    included.  Any product of members of two orbits is isomorphic to the
+    representatives' product, so a pair of two classes counts w_a*w_b times
+    and a class with itself w*(w+1)/2 times, as many as the unordered
+    labeled pairs."""
+    comps = [memo.comparison(x) for x, _ in classes]
+    factors_ok = [_factors_hypothesis(x, comp) for (x, _), comp in zip(classes, comps)]
+    for (ia, (a, wa)), (ib, (b, wb)) in itertools.combinations_with_replacement(
+        enumerate(classes), 2
     ):
         comp_p = memo.comparison(product_instance(a, b))
         ok = factors_ok[ia] and factors_ok[ib]
         audit = _audit_product(comps[ia], comps[ib], comp_p, ok)
-        where = f"product of [{_describe(a)}] and [{_describe(b)}]"
+        weight = wa * (wa + 1) // 2 if ia == ib else wa * wb
+        where = f"product of [{_describe(a)} orbit={wa}] and [{_describe(b)} orbit={wb}]"
         lost = f"{where} :: product loses the property"
         lines = (lost, lost, lost, f"{where} :: zar/weak do not factorize")
         # PRODUCT_RULE_IDS are in the order of the audit's fields
         for rule_id, verdict, line in zip(PRODUCT_RULE_IDS, astuple(audit), lines):
-            _tally(stats, rule_ids, rule_id, verdict, 1, [line])
+            _tally(stats, rule_ids, rule_id, verdict, weight, [line])
 
 
 def _main_conditions(inst, comp) -> tuple:
@@ -1168,7 +1197,7 @@ def _main_phase(main_n_max: int, stats, memo) -> None:
     s = stats.setdefault(MAIN_RULE_ID, RuleStats())
     for n in range(1, main_n_max + 1):
         disc = topo.discrete(n)
-        for sl, aut in semilattice_classes(n):
+        for sl, aut in memo.semilattices(n):
             inst = memo.instance(tsl.TopologizedSemigroup(sl, disc))
             comp = memo.comparison(inst)
             weight = math.factorial(n) // len(aut)
@@ -1193,11 +1222,13 @@ def sweep(
     the per-instance loop and the main phase evaluate one instance per
     isomorphism class and count it as many times as its labeled orbit has
     members; applied/vacuous counts and instances_checked are those of the
-    labeled sweep.  The hom and product phases walk the labeled instances
-    with n <= 2.  Deterministic for any thread count: per-instance results
-    are merged commutatively and violation lists sorted at render time.
-    Each comparison report is computed once per distinct instance and each
-    order quantity once per semilattice table; nothing is kept after the
+    labeled sweep.  The hom and product phases pair the classes with n <= 2
+    the same way, weighted as _hom_phase and _product_phase say.
+    Deterministic for any thread count: per-instance results are merged
+    commutatively and violation lists sorted at render time.  Each
+    comparison report and subspace trace is computed once per distinct
+    instance, each order quantity once per semilattice table and the
+    semilattice classes once per carrier size; nothing is kept after the
     call returns."""
     if not 1 <= n_max <= SWEEP_MAX:
         raise ValueError(f"sweep supports n_max in 1..{SWEEP_MAX}, got {n_max}")
@@ -1210,9 +1241,9 @@ def sweep(
         unknown = rule_ids - set(ALL_RULE_IDS)
         if unknown:
             raise ValueError(f"unknown rule ids: {sorted(unknown)}")
-    classes = instance_classes(n_max)
-    stats: dict = {}
     memo = SweepMemo()
+    classes = instance_classes(n_max, memo.semilattices)
+    stats: dict = {}
 
     def run_shard(k: int) -> dict:
         partial: dict = {}
@@ -1232,11 +1263,11 @@ def sweep(
         for rule_id, rs in partial.items():
             stats.setdefault(rule_id, RuleStats()).merge(rs)
 
-    univ2 = universe(min(n_max, 2))
+    small = [(x, weight) for x, weight in classes if x.n <= 2]
     if any(_want(rule_ids, rid) for rid in HOM_RULE_IDS):
-        _hom_phase(univ2, rule_ids, stats, memo)
+        _hom_phase(small, rule_ids, stats, memo)
     if any(_want(rule_ids, rid) for rid in PRODUCT_RULE_IDS):
-        _product_phase(univ2, rule_ids, stats, memo)
+        _product_phase(small, rule_ids, stats, memo)
     if _want(rule_ids, MAIN_RULE_ID):
         _main_phase(main_n_max, stats, memo)
     return SweepReport(n_max, sum(weight for _, weight in classes), stats)

@@ -67,6 +67,40 @@ def test_parse_names_missing_union():
         cli.parse_instance(json.dumps(doc))
 
 
+CHAIN4 = ["a", "b", "c", "d"]
+
+
+@pytest.mark.parametrize(
+    "opens, message",
+    [
+        ([], "missing empty set"),
+        ([["a"], CHAIN4], "missing empty set"),
+        ([[], ["a"]], "missing full set"),
+        ([[], ["b"], ["c"], CHAIN4], "missing union of {b} and {c}: {b, c}"),
+        (
+            [[], ["a", "b"], ["b", "c"], ["a", "b", "c"], CHAIN4],
+            "missing intersection of {a, b} and {b, c}: {b}",
+        ),
+        ([[], ["a"], ["a"], ["b"], CHAIN4], "missing union of {a} and {b}: {a, b}"),
+        # no union and no intersection of {a, b} and {b, c}: the union is
+        # named, as it is tested first for each pair
+        ([[], ["a", "b"], ["b", "c"], CHAIN4], "missing union of {a, b} and {b, c}: {a, b, c}"),
+        # here the first pair in listed order lacks only its intersection,
+        # though {a} and {d} lack their union
+        (
+            [[], CHAIN4, ["a", "b", "c"], ["b", "c", "d"], ["a"], ["d"]],
+            "missing intersection of {a, b, c} and {b, c, d}: {b, c}",
+        ),
+    ],
+)
+def test_open_set_error_messages(opens, message):
+    meet = [[CHAIN4[min(x, y)] for y in range(4)] for x in range(4)]
+    doc = {"schema_version": 1, "elements": CHAIN4, "meet": meet, "opens": opens}
+    with pytest.raises(cli.InstanceFormatError) as exc:
+        cli.parse_instance(json.dumps(doc))
+    assert str(exc.value) == message
+
+
 def test_parse_rejects_bad_algebra():
     doc = {
         "schema_version": 1,
@@ -92,6 +126,15 @@ def test_export_dot_poset_and_topology():
     dot = cli.export_dot(sier, ["z", "u"])
     assert dot.count("->") == 2
     assert '[label="{u}"]' in dot
+
+
+def test_export_dot_open_covers_match_inclusion_scan(monkeypatch):
+    tops = [t for n in (1, 2, 3, 4) for t in verify.enumerate_topologies(n)]
+    assert len(tops) == 389
+    tops.append(topo.discrete(6))
+    fast = [cli.export_dot(t) for t in tops]
+    monkeypatch.setattr(cli, "_open_covers", oracles.open_covers_by_scan)
+    assert fast == [cli.export_dot(t) for t in tops]
 
 
 def test_export_dot_diamond_hasse():

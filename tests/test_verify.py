@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import pathlib
@@ -132,27 +133,37 @@ def test_sweep3_render_matches_golden_output():
 
 
 def test_sweep_computes_each_bundle_once_per_call(monkeypatch):
-    counts = {"topology_comparison": 0, "scott_topology": 0}
-    for name in counts:
-        original = getattr(weak, name)
+    counted_in = {
+        "topology_comparison": weak,
+        "scott_topology": weak,
+        "subspace": topo,
+        "semilattice_classes": verify,
+    }
+    counts = dict.fromkeys(counted_in, 0)
+    for name, module in counted_in.items():
+        original = getattr(module, name)
 
-        def counted(x, original=original, name=name):
+        def counted(*args, original=original, name=name):
             counts[name] += 1
-            return original(x)
+            return original(*args)
 
-        monkeypatch.setattr(weak, name, counted)
+        monkeypatch.setattr(module, name, counted)
     verify.sweep(3)
-    # 96 distinct instances over 12 distinct semilattice tables: the 52 class
-    # representatives and their sub-instances, the labeled n <= 2 instances
-    # of the hom and product phases with their products, and the discrete
-    # main-phase representatives
-    assert counts["topology_comparison"] == 96
+    # 66 distinct instances over 12 distinct semilattice tables: the 52 class
+    # representatives and their sub-instances, the products of the n <= 2
+    # class representatives, and the discrete main-phase representatives
+    assert counts["topology_comparison"] == 66
     assert counts["scott_topology"] <= 12
+    # the sub phase traces 216 distinct (topology, subset) pairs, and the
+    # per-instance loop and the main phase (n <= 4) share the semilattice
+    # classes of each carrier size
+    assert counts["subspace"] == 216
+    assert counts["semilattice_classes"] == 4
     # no memo outlives a call: neither the reports nor the order data
     # derived on the sweep's algebra objects, so a second sweep redoes all
     # of it (a leak from the first would show as fewer Scott calls)
     first = dict(counts)
-    counts["topology_comparison"] = counts["scott_topology"] = 0
+    counts.update(dict.fromkeys(counts, 0))
     verify.sweep(3)
     assert counts == first
 
@@ -195,6 +206,58 @@ def test_class_sweep_counts_match_labeled_oracle():
         assert (got.applied, got.vacuous) == (rs.applied, rs.vacuous), rule_id
     main = report.rules[verify.MAIN_RULE_ID]
     assert main.applied == sum(len(verify.enumerate_semilattices(n)) for n in (1, 2, 3, 4))
+
+
+def test_class_hom_and_product_counts_match_labeled_oracle():
+    # the phases over the labeled instances, each of weight 1, are the
+    # labeled loops: every hom, and every unordered pair, counted once
+    cross = verify.HOM_RULE_IDS + verify.PRODUCT_RULE_IDS
+    for n_max in (1, 2, 3):
+        memo = verify.SweepMemo()
+        labeled = {}
+        unit = [(x, 1) for x in verify.universe(min(n_max, 2))]
+        verify._hom_phase(unit, None, labeled, memo)
+        verify._product_phase(unit, None, labeled, memo)
+        report = verify.sweep(n_max, rule_ids=cross)
+        assert set(labeled) == set(report.rules) == set(cross)
+        for rule_id, rs in labeled.items():
+            got = report.rules[rule_id]
+            assert (got.applied, got.vacuous) == (rs.applied, rs.vacuous), rule_id
+            assert got.violations == rs.violations == []
+
+
+def test_cross_instance_violation_lines_name_both_representatives(monkeypatch):
+    failed_hom = verify.FunctorialAudit(False, None, None, None, ("loses forced continuity",))
+    failed_product = verify.ProductAudit(False, None, None, None)
+    monkeypatch.setattr(verify, "_audit_hom", lambda *args: failed_hom)
+    monkeypatch.setattr(verify, "_audit_product", lambda *args: failed_product)
+    rules = ["hom.weak_continuity", "product.weak_circ_preserved"]
+    report = verify.sweep(2, rule_ids=rules)
+    classes = verify.instance_classes(2)
+
+    def named(x, w):
+        return f"[{verify._describe(x)} orbit={w}]"
+
+    # one line per continuous hom between two representatives
+    homs = [
+        f"hom {m} from {named(a, wa)} to {named(b, wb)} :: loses forced continuity"
+        for (a, wa), (b, wb) in itertools.product(classes, repeat=2)
+        for m in itertools.product(range(b.n), repeat=a.n)
+        if tsl.is_homomorphism(a.algebra, b.algebra, m)
+        and tsl.is_continuous(a.topology, b.topology, m)
+    ]
+    hom = report.rules["hom.weak_continuity"]
+    assert sorted(hom.violations) == sorted(homs)
+    assert len(homs) < hom.applied
+    # one line per unordered pair of classes; the 9 labeled instances with
+    # n <= 2 make 45 unordered pairs
+    pairs = [
+        f"product of {named(a, wa)} and {named(b, wb)} :: product loses the property"
+        for (a, wa), (b, wb) in itertools.combinations_with_replacement(classes, 2)
+    ]
+    product = report.rules["product.weak_circ_preserved"]
+    assert sorted(product.violations) == sorted(pairs)
+    assert len(pairs) == 15 and product.applied == 45
 
 
 def test_sweep4_render_matches_labeled_golden_output():
@@ -241,6 +304,11 @@ def test_properties_are_relabeling_invariant(data):
     cx, cy = weak.topology_comparison(x), weak.topology_comparison(y)
     assert (cx.weak_circ, cx.weak_bullet, cx.i_weak) == (cy.weak_circ, cy.weak_bullet, cy.i_weak)
     assert props.property_vector(x, cx).as_dict() == props.property_vector(y, cy).as_dict()
+
+
+def test_semilattice_enumeration_matches_bound_route():
+    for n in (1, 2, 3, 4, 5):
+        assert verify.enumerate_semilattices(n) == oracles.enumerate_semilattices_by_bounds(n)
 
 
 def test_meet_continuity_matches_scan():
