@@ -976,12 +976,9 @@ def semilattice_classes(n: int) -> list[tuple[FiniteSemilattice, tuple]]:
     return out
 
 
-def instance_classes(
-    n_max: int, semilattices=semilattice_classes
-) -> list[tuple[tsl.TopologizedSemigroup, int]]:
+def instance_classes(n_max: int) -> list[tuple[tsl.TopologizedSemigroup, int]]:
     """One instance per isomorphism class up to n_max, in sweep order, with
-    the size of its labeled orbit.  semilattices(n) gives the semilattice
-    classes on n points (semilattice_classes, or a sweep's memo of it).
+    the size of its labeled orbit.
 
     Over each semilattice representative S the topologies fall into orbits
     of Aut(S); the first topology of an orbit in enumerate_topologies order
@@ -991,7 +988,7 @@ def instance_classes(
     out = []
     for n in range(1, n_max + 1):
         tops = enumerate_topologies(n)
-        for sl, aut in semilattices(n):
+        for sl, aut in semilattice_classes(n):
             tables = math.factorial(n) // len(aut)
             seen = set()
             for top in tops:
@@ -1004,11 +1001,9 @@ def instance_classes(
 
 
 class SweepMemo:
-    """What one sweep computes once: the semilattice classes on each carrier
-    size, the comparison report of each distinct instance, the subspace
-    topology of each distinct (topology, subset) pair, and the order data of
-    each distinct semilattice table, derived (core.derived) on the one
-    algebra object the memo keeps for that table.
+    """What one sweep computes once: the comparison report of each distinct
+    instance, and the order data of each distinct semilattice table, derived
+    (core.derived) on the one algebra object the memo keeps for that table.
 
     Owned by one sweep() call and dropped when it returns.  The shards of a
     threaded sweep share it; two threads that miss the same entry at once
@@ -1018,20 +1013,6 @@ class SweepMemo:
     def __init__(self):
         self.algebras: dict = {}
         self.comparisons: dict = {}
-        self.subspaces: dict = {}
-        self.sl_classes: dict = {}
-
-    def semilattices(self, n: int) -> list[tuple[FiniteSemilattice, tuple]]:
-        out = self.sl_classes.get(n)
-        if out is None:
-            out = self.sl_classes[n] = semilattice_classes(n)
-        return out
-
-    def subspace(self, top: topo.FiniteTopology, s: int) -> topo.FiniteTopology:
-        out = self.subspaces.get((top, s))
-        if out is None:
-            out = self.subspaces[top, s] = topo.subspace(top, s)
-        return out
 
     def instance(self, inst: tsl.TopologizedSemigroup) -> tsl.TopologizedSemigroup:
         """inst on the algebra object this memo keeps for its table."""
@@ -1099,7 +1080,7 @@ def _tally(stats, rule_ids, rule_id, verdict, weight, violations) -> None:
 
 def _evaluate_sub_rules(inst, comp, pv, stats, rule_ids, where, memo, weight) -> None:
     for s_mask, sub_alg in derived(inst.algebra, sub_algebras):
-        sub = tsl.TopologizedSemigroup(sub_alg, memo.subspace(inst.topology, s_mask))
+        sub = tsl.TopologizedSemigroup(sub_alg, topo.subspace(inst.topology, s_mask))
         sub_comp = memo.comparison(sub)
         lost = [f"{where} :: subsemigroup {s_mask:#x} loses the property"]
         for rule_id, flag in (
@@ -1111,7 +1092,7 @@ def _evaluate_sub_rules(inst, comp, pv, stats, rule_ids, where, memo, weight) ->
             _tally(stats, rule_ids, rule_id, inherited, weight, lost)
         coincides = None
         if pv["subtopological"]:
-            coincides = sub_comp.bundle.zar == memo.subspace(comp.bundle.zar, s_mask)
+            coincides = sub_comp.bundle.zar == topo.subspace(comp.bundle.zar, s_mask)
         not_trace = [f"{where} :: zar of subsemigroup {s_mask:#x} is not the trace"]
         rule_id = "sub.zar_subspace_coincides"
         _tally(stats, rule_ids, rule_id, coincides, weight, not_trace)
@@ -1197,7 +1178,7 @@ def _main_phase(main_n_max: int, stats, memo) -> None:
     s = stats.setdefault(MAIN_RULE_ID, RuleStats())
     for n in range(1, main_n_max + 1):
         disc = topo.discrete(n)
-        for sl, aut in memo.semilattices(n):
+        for sl, aut in semilattice_classes(n):
             inst = memo.instance(tsl.TopologizedSemigroup(sl, disc))
             comp = memo.comparison(inst)
             weight = math.factorial(n) // len(aut)
@@ -1226,10 +1207,9 @@ def sweep(
     the same way, weighted as _hom_phase and _product_phase say.
     Deterministic for any thread count: per-instance results are merged
     commutatively and violation lists sorted at render time.  Each
-    comparison report and subspace trace is computed once per distinct
-    instance, each order quantity once per semilattice table and the
-    semilattice classes once per carrier size; nothing is kept after the
-    call returns."""
+    comparison report is computed once per distinct instance and each order
+    quantity once per semilattice table; nothing is kept after the call
+    returns."""
     if not 1 <= n_max <= SWEEP_MAX:
         raise ValueError(f"sweep supports n_max in 1..{SWEEP_MAX}, got {n_max}")
     if threads < 1:
@@ -1241,9 +1221,9 @@ def sweep(
         unknown = rule_ids - set(ALL_RULE_IDS)
         if unknown:
             raise ValueError(f"unknown rule ids: {sorted(unknown)}")
-    memo = SweepMemo()
-    classes = instance_classes(n_max, memo.semilattices)
+    classes = instance_classes(n_max)
     stats: dict = {}
+    memo = SweepMemo()
 
     def run_shard(k: int) -> dict:
         partial: dict = {}

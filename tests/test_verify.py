@@ -133,37 +133,26 @@ def test_sweep3_render_matches_golden_output():
 
 
 def test_sweep_computes_each_bundle_once_per_call(monkeypatch):
-    counted_in = {
-        "topology_comparison": weak,
-        "scott_topology": weak,
-        "subspace": topo,
-        "semilattice_classes": verify,
-    }
-    counts = dict.fromkeys(counted_in, 0)
-    for name, module in counted_in.items():
-        original = getattr(module, name)
+    counts = {"topology_comparison": 0, "scott_topology": 0}
+    for name in counts:
+        original = getattr(weak, name)
 
-        def counted(*args, original=original, name=name):
+        def counted(x, original=original, name=name):
             counts[name] += 1
-            return original(*args)
+            return original(x)
 
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(weak, name, counted)
     verify.sweep(3)
     # 66 distinct instances over 12 distinct semilattice tables: the 52 class
     # representatives and their sub-instances, the products of the n <= 2
     # class representatives, and the discrete main-phase representatives
     assert counts["topology_comparison"] == 66
     assert counts["scott_topology"] <= 12
-    # the sub phase traces 216 distinct (topology, subset) pairs, and the
-    # per-instance loop and the main phase (n <= 4) share the semilattice
-    # classes of each carrier size
-    assert counts["subspace"] == 216
-    assert counts["semilattice_classes"] == 4
     # no memo outlives a call: neither the reports nor the order data
     # derived on the sweep's algebra objects, so a second sweep redoes all
     # of it (a leak from the first would show as fewer Scott calls)
     first = dict(counts)
-    counts.update(dict.fromkeys(counts, 0))
+    counts["topology_comparison"] = counts["scott_topology"] = 0
     verify.sweep(3)
     assert counts == first
 
