@@ -166,12 +166,6 @@ class FiniteSemilattice(FiniteSemigroup):
         return self.table[x][y]
 
 
-def as_semilattice(sg: FiniteSemigroup) -> FiniteSemilattice:
-    if isinstance(sg, FiniteSemilattice):
-        return sg
-    return FiniteSemilattice(sg.n, sg.table)
-
-
 @dataclass(frozen=True)
 class FinitePoset:
     """A partial order on 0..n-1; up[x] is the bitmask of {y : x <= y}.
@@ -260,33 +254,6 @@ def cone(poset: FinitePoset, s: int, direction: str) -> int:
     for x in bits(s):
         out |= rows[x]
     return out
-
-
-@dataclass(frozen=True)
-class ChainFlags:
-    is_chain: bool
-    is_up_directed: bool
-    is_down_directed: bool
-
-
-def chain_and_directed(poset: FinitePoset, s: int) -> ChainFlags:
-    """Chain / up-directed / down-directed flags for a subset.
-
-    The empty set counts as a chain but not as directed.
-    """
-    if not s:
-        return ChainFlags(True, False, False)
-    elems = list(bits(s))
-    chain = poset.is_chain_set(s)
-    up_dir = all(
-        any(poset.leq(x, z) and poset.leq(y, z) for z in elems)
-        for x, y in itertools.combinations(elems, 2)
-    )
-    down_dir = all(
-        any(poset.leq(z, x) and poset.leq(z, y) for z in elems)
-        for x, y in itertools.combinations(elems, 2)
-    )
-    return ChainFlags(chain, up_dir, down_dir)
 
 
 def bound_extremum(poset: FinitePoset, s: int, kind: str) -> Optional[int]:

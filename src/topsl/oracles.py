@@ -16,7 +16,6 @@ from .core import (
     NotASemilatticeError,
     bits,
     bound_extremum,
-    chain_and_directed,
     cone,
     derived,
     full_mask,
@@ -24,6 +23,136 @@ from .core import (
     natural_order,
     subsets,
 )
+
+
+@dataclass(frozen=True)
+class ChainFlags:
+    is_chain: bool
+    is_up_directed: bool
+    is_down_directed: bool
+
+
+def chain_and_directed(poset: FinitePoset, s: int) -> ChainFlags:
+    """Chain / up-directed / down-directed flags for a subset.
+
+    The empty set counts as a chain but not as directed.
+    """
+    if not s:
+        return ChainFlags(True, False, False)
+    elems = list(bits(s))
+    chain = poset.is_chain_set(s)
+    up_dir = all(
+        any(poset.leq(x, z) and poset.leq(y, z) for z in elems)
+        for x, y in itertools.combinations(elems, 2)
+    )
+    down_dir = all(
+        any(poset.leq(z, x) and poset.leq(z, y) for z in elems)
+        for x, y in itertools.combinations(elems, 2)
+    )
+    return ChainFlags(chain, up_dir, down_dir)
+
+
+def saturate_family(n: int, seeds) -> tuple[int, ...]:
+    """Closure of a family of subsets under pairwise union and intersection,
+    with the empty and full sets adjoined: the opens of
+    topo.generate_topology."""
+    fam = set(seeds)
+    fam.add(0)
+    fam.add(full_mask(n))
+    grew = True
+    while grew:
+        grew = False
+        for a, b in itertools.combinations(sorted(fam), 2):
+            for c in (a | b, a & b):
+                if c not in fam:
+                    fam.add(c)
+                    grew = True
+    return tuple(sorted(fam))
+
+
+def is_topology_by_pairs(n: int, family) -> bool:
+    """topo.canonical's decision: the family lies in the carrier, holds the
+    empty and full sets, and holds the union and intersection of every pair."""
+    fam = set(family)
+    return (
+        {0, full_mask(n)} <= fam
+        and all(u & ~full_mask(n) == 0 for u in fam)
+        and all(a | b in fam and a & b in fam for a in fam for b in fam)
+    )
+
+
+def brute_force_topology_count(n: int) -> int:
+    """Count union/intersection-closed subset families containing the empty
+    and full sets, by scanning all 2**(2**n) candidate families (n <= 4)."""
+    if not 1 <= n <= 4:
+        raise ValueError(f"brute-force topology oracle supports n in 1..4, got {n}")
+    m = 1 << n
+    required = 1 | 1 << (m - 1)
+    count = 0
+    for fam in range(1 << m):
+        if fam & required != required:
+            continue
+        members = [s for s in range(m) if fam >> s & 1]
+        if all(
+            fam >> (a | b) & 1 and fam >> (a & b) & 1
+            for a, b in itertools.combinations(members, 2)
+        ):
+            count += 1
+    return count
+
+
+def brute_force_semilattice_tables(n: int) -> list[tuple[int, ...]]:
+    """All flattened semilattice tables by scanning n**(n*n) candidates."""
+    if not 1 <= n <= 3:
+        raise ValueError(f"brute-force table oracle supports n in 1..3, got {n}")
+    out = []
+    for flat in itertools.product(range(n), repeat=n * n):
+        t = [flat[i * n : (i + 1) * n] for i in range(n)]
+        if any(t[x][x] != x for x in range(n)):
+            continue
+        if any(t[x][y] != t[y][x] for x in range(n) for y in range(x + 1, n)):
+            continue
+        if any(
+            t[t[x][y]][z] != t[x][t[y][z]]
+            for x in range(n)
+            for y in range(n)
+            for z in range(n)
+        ):
+            continue
+        out.append(flat)
+    return out
+
+
+def subspace_by_traces(top: topo.FiniteTopology, carrier_subset: int) -> topo.FiniteTopology:
+    """topo.subspace: the trace of every open set, re-indexed ascending."""
+    elems = list(bits(carrier_subset))
+    index = {e: i for i, e in enumerate(elems)}
+    traces = {mask_of(index[e] for e in bits(u & carrier_subset)) for u in top.opens}
+    return topo.canonical(len(elems), traces)
+
+
+def product_by_union_closure(
+    top1: topo.FiniteTopology, top2: topo.FiniteTopology
+) -> topo.FiniteTopology:
+    """topo.product: every union of the boxes M_x x M_y, found by a walk from
+    the empty set, as an open-set family."""
+    n2 = top2.n
+    boxes = {topo.box_mask(a, b, n2) for a in top1.minimal for b in top2.minimal}
+    opens, frontier = {0}, [0]
+    while frontier:
+        u = frontier.pop()
+        for box in boxes:
+            if u | box not in opens:
+                opens.add(u | box)
+                frontier.append(u | box)
+    return topo.canonical(top1.n * n2, opens)
+
+
+def law_topology_by_opens(x_instance: tsl.TopologizedSemigroup) -> topo.FiniteTopology:
+    """weak.law_topology, generated by the open sets that are subsemigroups."""
+    alg, top = x_instance.algebra, x_instance.topology
+    base = [u for u in top.opens if tsl._is_subsemigroup(alg, u)]
+    return topo.generate_topology(alg.n, base)
 
 
 def upper_set_topology(poset: FinitePoset) -> topo.FiniteTopology:
@@ -276,17 +405,26 @@ def subtopological_by_scan(x_instance: tsl.TopologizedSemigroup) -> bool:
     )
 
 
-def multiplicative_cuts_by_scan(x_instance: tsl.TopologizedSemigroup) -> list[int]:
-    """weak.multiplicative_cuts, walking every subset of the carrier."""
+def _cuts_among(x_instance: tsl.TopologizedSemigroup, candidates) -> list[int]:
     alg, top = x_instance.algebra, x_instance.topology
     t, rng = alg.table, range(alg.n)
     return [
         s
-        for s in subsets(alg.n)
+        for s in candidates
         if top.is_open(s)
         and top.is_closed(s)
         and all((s >> t[x][y] & 1) == (s >> x & s >> y & 1) for x in rng for y in rng)
     ]
+
+
+def multiplicative_cuts_by_scan(x_instance: tsl.TopologizedSemigroup) -> list[int]:
+    """weak.multiplicative_cuts, walking every subset of the carrier."""
+    return _cuts_among(x_instance, subsets(x_instance.n))
+
+
+def multiplicative_cuts_by_opens(x_instance: tsl.TopologizedSemigroup) -> list[int]:
+    """weak.multiplicative_cuts, walking the open sets."""
+    return _cuts_among(x_instance, x_instance.topology.opens)
 
 
 def enumerate_semilattices_by_bounds(n: int) -> list[FiniteSemilattice]:
@@ -357,7 +495,35 @@ def weak_topology_via_homs(x_instance: tsl.TopologizedSemigroup) -> topo.FiniteT
     """weak.weak_topology for semilattices: generated by the fibers of every
     continuous homomorphism onto a discrete min-chain."""
     subbase = []
-    for h in tsl.enumerate_chain_homs(x_instance):
+    for h in enumerate_chain_homs(x_instance):
         for c in range(h.target.n):
             subbase.append(tsl.preimage(h.mapping, 1 << c, x_instance.n))
     return topo.generate_topology(x_instance.n, subbase)
+
+
+def enumerate_chain_homs(
+    x_instance: tsl.TopologizedSemigroup, k_max: int | None = None
+) -> list[tsl.ContinuousHom]:
+    """All continuous meet-homomorphisms onto discrete min-chains of length
+    at most k_max (default: the carrier size).  Constants are included (k=1).
+    Deterministic order: chain length ascending, then mapping lexicographic."""
+    alg = x_instance.algebra
+    if not alg.is_semilattice:
+        raise NotASemilatticeError("chain homomorphisms need a semilattice source")
+    n = alg.n
+    if k_max is None:
+        k_max = n
+    if k_max > n:
+        raise ValueError("a homomorphic image chain has at most n elements")
+    out = []
+    for k in range(1, k_max + 1):
+        target = tsl.chain_semilattice(k)
+        for mapping in itertools.product(range(k), repeat=n):
+            if len(set(mapping)) != k:
+                continue  # onto the chain
+            if not tsl.is_homomorphism(alg, target.algebra, mapping):
+                continue
+            if not tsl.is_continuous(x_instance.topology, target.topology, mapping):
+                continue
+            out.append(tsl.ContinuousHom(x_instance, target, tuple(mapping)))
+    return out

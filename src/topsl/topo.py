@@ -1,26 +1,24 @@
 """Finite topologies on the carrier 0..n-1.
 
-A topology is a canonically sorted tuple of open-set bitmasks, `opens`.
-Canonical form means: ascending by bitmask value, no duplicates.  `opens` is
-the one field, so equality, hashing and repr are those of the tuple.
-
 Every point x of a finite space has a smallest open set M_x, the
 intersection of the opens that contain x, and every open set is the union
-of the M_x of its points (Alexandrov 1937; Stong 1966).  Construction
-derives the tuple `minimal` = (M_0, ..., M_{n-1}) once.  A canonical family
-of k subsets of the carrier is then a topology exactly when it contains the
-empty set, the full set, every M_x, and u | M_x for every open u and every
-point x: every intersection of opens is a union of M_x.  That check costs
-O(k*n) set lookups, against O(k*k) for checking every pair.  Generation,
-products, closure and interior all work from `minimal`.
+of the M_x of its points (Alexandrov 1937; Stong 1966).  So a topology is
+held as the tuple `minimal` = (M_0, ..., M_{n-1}), its one field besides n:
+equality and hashing are those of the tuple.  Any tuple of sets with x in
+M_x and M_y within M_x for every y in M_x (a preorder) is the `minimal` of
+exactly one topology.  The ascending tuple of open sets, `opens`, is derived
+on first use; `canonical` builds a topology from an open-set family and
+checks that the family is one.  Generation, subspaces, products, closure
+and interior all work from `minimal`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
-from .core import bits, full_mask, mask_of, subsets
+from .core import bits, full_mask, mask_of
 
 
 def _minimal(n: int, sets) -> tuple[int, ...]:
@@ -39,37 +37,48 @@ def _minimal(n: int, sets) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class FiniteTopology:
-    """Open sets in canonical form; `minimal[x]` (not a field) is the
-    smallest open set containing x."""
+    """`minimal[x]` is M_x, the smallest open set containing x."""
 
     n: int
-    opens: tuple[int, ...]
+    minimal: tuple[int, ...]
 
     def __post_init__(self):
-        n, opens = self.n, self.opens
+        n, minimal = self.n, self.minimal
+        if len(minimal) != n:
+            raise ValueError(f"{len(minimal)} minimal neighbourhoods for {n} points")
         full = full_mask(n)
-        if list(opens) != sorted(set(opens)):
-            raise ValueError("opens are not in canonical (sorted, deduped) form")
-        if 0 not in opens:
-            raise ValueError("missing empty set")
-        if full not in opens:
-            raise ValueError("missing full set")
-        for u in opens:
-            if u & ~full:
-                raise ValueError(f"open set {u:#x} leaves the carrier")
-        present = frozenset(opens)
-        minimal = _minimal(n, opens)
         for x, m in enumerate(minimal):
-            if m not in present:
-                raise ValueError(
-                    f"missing intersection {m:#x} of the open sets around {x}"
-                )
-        for u in opens:
+            if m & ~full:
+                raise ValueError(f"minimal neighbourhood {m:#x} of {x} leaves the carrier")
+            if not m >> x & 1:
+                raise ValueError(f"minimal neighbourhood {m:#x} of {x} misses {x}")
+            for y in bits(m):
+                if minimal[y] & ~m:
+                    raise ValueError(
+                        f"minimal neighbourhoods are not a preorder: {y} lies in "
+                        f"M_{x} = {m:#x} but M_{y} = {minimal[y]:#x} does not"
+                    )
+
+    @cached_property
+    def _open_set(self) -> frozenset[int]:
+        """Every union of minimal neighbourhoods, found by a walk from the
+        empty set over u | M_x."""
+        minimal = set(self.minimal)
+        opens = {0}
+        frontier = [0]
+        while frontier:
+            u = frontier.pop()
             for m in minimal:
-                if u | m not in present:
-                    raise ValueError(f"missing union of {u:#x} and {m:#x}")
-        object.__setattr__(self, "_open_set", present)
-        object.__setattr__(self, "minimal", minimal)
+                v = u | m
+                if v not in opens:
+                    opens.add(v)
+                    frontier.append(v)
+        return frozenset(opens)
+
+    @cached_property
+    def opens(self) -> tuple[int, ...]:
+        """The open sets, ascending by bitmask."""
+        return tuple(sorted(self._open_set))
 
     def is_open(self, s: int) -> bool:
         return s in self._open_set
@@ -83,31 +92,41 @@ class FiniteTopology:
 
 
 def canonical(n: int, opens) -> FiniteTopology:
-    return FiniteTopology(n, tuple(sorted(set(opens))))
+    """The topology whose open sets are exactly the given family, which may
+    come in any order and with repeats.  The family's M_x are the ANDs of
+    its members; it is a topology exactly when it holds each M_x and its
+    members are the unions of the M_x.  Raises ValueError naming a missing
+    set.  oracles.is_topology_by_pairs checks every pair instead."""
+    family = frozenset(opens)
+    full = full_mask(n)
+    if 0 not in family:
+        raise ValueError("missing empty set")
+    if full not in family:
+        raise ValueError("missing full set")
+    for u in sorted(family):
+        if u & ~full:
+            raise ValueError(f"open set {u:#x} leaves the carrier")
+    minimal = _minimal(n, family)
+    for x, m in enumerate(minimal):
+        if m not in family:
+            raise ValueError(f"missing intersection {m:#x} of the open sets around {x}")
+    top = FiniteTopology(n, minimal)
+    if top._open_set != family:
+        # each member is the union of the M_x of its points, so the walk
+        # found every member; it also found u | M_x for some member u
+        u, m = next(
+            (u, m) for u in sorted(family) for m in minimal if u | m not in family
+        )
+        raise ValueError(f"missing union of {u:#x} and {m:#x}")
+    return top
 
 
 def discrete(n: int) -> FiniteTopology:
-    return FiniteTopology(n, tuple(subsets(n)))
+    return FiniteTopology(n, tuple(1 << x for x in range(n)))
 
 
 def indiscrete(n: int) -> FiniteTopology:
-    return canonical(n, [0, full_mask(n)])
-
-
-def _union_closure(n: int, minimal) -> FiniteTopology:
-    """The topology whose minimal neighbourhoods are `minimal`: every union
-    of them, found by a walk from the empty set over u | M_x."""
-    minimal = set(minimal)
-    opens = {0}
-    frontier = [0]
-    while frontier:
-        u = frontier.pop()
-        for m in minimal:
-            v = u | m
-            if v not in opens:
-                opens.add(v)
-                frontier.append(v)
-    return canonical(n, opens)
+    return FiniteTopology(n, (full_mask(n),) * n)
 
 
 def generate_topology(n: int, subbase) -> FiniteTopology:
@@ -117,7 +136,7 @@ def generate_topology(n: int, subbase) -> FiniteTopology:
     for s in subbase:
         if s & ~full:
             raise ValueError(f"subbase set {s:#x} leaves the carrier")
-    return _union_closure(n, _minimal(n, subbase))
+    return FiniteTopology(n, _minimal(n, subbase))
 
 
 def hull(top: FiniteTopology, s: int, mode: str) -> int:
@@ -167,23 +186,23 @@ def separation_profile(top: FiniteTopology) -> SeparationProfile:
     return SeparationProfile(t0, disc, disc, disc)
 
 
-def specialization_preorder(top: FiniteTopology) -> tuple[int, ...]:
-    """Row masks rel[x] = {y : x lies in the closure of {y}}, which is M_x."""
-    return top.minimal
-
-
 def subspace(top: FiniteTopology, carrier_subset: int) -> FiniteTopology:
-    """Trace topology, re-indexed onto the subset's elements in ascending order."""
+    """Trace topology, re-indexed onto the subset's elements in ascending
+    order: the M_x of a point of the subset is its M_x there, traced on it.
+    oracles.subspace_by_traces traces every open set."""
     if not carrier_subset:
         raise ValueError("subspace carrier must be nonempty")
     if carrier_subset & ~full_mask(top.n):
         raise ValueError("subset leaves the carrier")
     elems = list(bits(carrier_subset))
     index = {e: i for i, e in enumerate(elems)}
-    traces = set()
-    for u in top.opens:
-        traces.add(mask_of(index[e] for e in bits(u & carrier_subset)))
-    return canonical(len(elems), traces)
+    return FiniteTopology(
+        len(elems),
+        tuple(
+            mask_of(index[e] for e in bits(top.minimal[x] & carrier_subset))
+            for x in elems
+        ),
+    )
 
 
 def pair_index(i: int, j: int, n2: int) -> int:
@@ -200,9 +219,11 @@ def box_mask(u: int, v: int, n2: int) -> int:
 
 
 def product(top1: FiniteTopology, top2: FiniteTopology) -> FiniteTopology:
+    """The product topology: the M of the pair (x, y) is the box M_x x M_y.
+    oracles.product_by_union_closure closes the boxes under union."""
     n = top1.n * top2.n
     if n > 144:
         raise ValueError(f"product carrier {n} exceeds the supported bound 144")
-    # the minimal neighbourhood of the pair (x, y) is the box M_x x M_y
-    boxes = [box_mask(a, b, top2.n) for a in top1.minimal for b in top2.minimal]
-    return _union_closure(n, boxes)
+    return FiniteTopology(
+        n, tuple(box_mask(a, b, top2.n) for a in top1.minimal for b in top2.minimal)
+    )

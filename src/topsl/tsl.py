@@ -1,9 +1,8 @@
 """Semigroups paired with topologies: continuity classes, order-topological
-predicates, subsemigroup and chain-homomorphism enumeration."""
+predicates and subsemigroup enumeration."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import topo
@@ -175,31 +174,3 @@ def chain_semilattice(k: int) -> TopologizedSemigroup:
     """The k-element min-chain with the discrete topology."""
     table = tuple(tuple(min(x, y) for y in range(k)) for x in range(k))
     return TopologizedSemigroup(FiniteSemilattice(k, table), topo.discrete(k))
-
-
-def enumerate_chain_homs(
-    x_instance: TopologizedSemigroup, k_max: int | None = None
-) -> list[ContinuousHom]:
-    """All continuous meet-homomorphisms onto discrete min-chains of length
-    at most k_max (default: the carrier size).  Constants are included (k=1).
-    Deterministic order: chain length ascending, then mapping lexicographic."""
-    alg = x_instance.algebra
-    if not alg.is_semilattice:
-        raise NotASemilatticeError("chain homomorphisms need a semilattice source")
-    n = alg.n
-    if k_max is None:
-        k_max = n
-    if k_max > n:
-        raise ValueError("a homomorphic image chain has at most n elements")
-    out = []
-    for k in range(1, k_max + 1):
-        target = chain_semilattice(k)
-        for mapping in itertools.product(range(k), repeat=n):
-            if len(set(mapping)) != k:
-                continue  # onto the chain
-            if not is_homomorphism(alg, target.algebra, mapping):
-                continue
-            if not is_continuous(x_instance.topology, target.topology, mapping):
-                continue
-            out.append(ContinuousHom(x_instance, target, tuple(mapping)))
-    return out

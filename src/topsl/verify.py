@@ -83,14 +83,12 @@ def enumerate_posets(n: int) -> list[FinitePoset]:
 
 
 def enumerate_topologies(n: int) -> list[topo.FiniteTopology]:
-    """All labeled topologies on n points via their specialization preorders,
-    sorted ascending by opens tuple."""
-    tops = []
-    for rows in _enumerate_reflexive_transitive(n, False):
-        opens = [
-            u for u in subsets(n) if all(rows[x] & ~u == 0 for x in bits(u))
-        ]
-        tops.append(topo.canonical(n, opens))
+    """All labeled topologies on n points: their specialization preorders
+    are their minimal neighbourhoods.  Sorted ascending by opens tuple."""
+    tops = [
+        topo.FiniteTopology(n, rows)
+        for rows in _enumerate_reflexive_transitive(n, False)
+    ]
     tops.sort(key=lambda t: t.opens)
     return tops
 
@@ -113,70 +111,6 @@ def enumerate_semilattices(n: int) -> list[FiniteSemilattice]:
             continue
         out.append(FiniteSemilattice(n, table))
     out.sort(key=lambda sl: sl.table)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracles (independent of the enumerators above)
-
-
-def saturate_family(n: int, seeds) -> tuple[int, ...]:
-    """Closure of a family of subsets under pairwise union and intersection,
-    with the empty and full sets adjoined.  Independent oracle for
-    generate_topology."""
-    fam = set(seeds)
-    fam.add(0)
-    fam.add(full_mask(n))
-    grew = True
-    while grew:
-        grew = False
-        for a, b in itertools.combinations(sorted(fam), 2):
-            for c in (a | b, a & b):
-                if c not in fam:
-                    fam.add(c)
-                    grew = True
-    return tuple(sorted(fam))
-
-
-def brute_force_topology_count(n: int) -> int:
-    """Count union/intersection-closed subset families containing the empty
-    and full sets, by scanning all 2**(2**n) candidate families (n <= 4)."""
-    if not 1 <= n <= 4:
-        raise ValueError(f"brute-force topology oracle supports n in 1..4, got {n}")
-    m = 1 << n
-    required = 1 | 1 << (m - 1)
-    count = 0
-    for fam in range(1 << m):
-        if fam & required != required:
-            continue
-        members = [s for s in range(m) if fam >> s & 1]
-        if all(
-            fam >> (a | b) & 1 and fam >> (a & b) & 1
-            for a, b in itertools.combinations(members, 2)
-        ):
-            count += 1
-    return count
-
-
-def brute_force_semilattice_tables(n: int) -> list[tuple[int, ...]]:
-    """All flattened semilattice tables by scanning n**(n*n) candidates."""
-    if not 1 <= n <= 3:
-        raise ValueError(f"brute-force table oracle supports n in 1..3, got {n}")
-    out = []
-    for flat in itertools.product(range(n), repeat=n * n):
-        t = [flat[i * n : (i + 1) * n] for i in range(n)]
-        if any(t[x][x] != x for x in range(n)):
-            continue
-        if any(t[x][y] != t[y][x] for x in range(n) for y in range(x + 1, n)):
-            continue
-        if any(
-            t[t[x][y]][z] != t[x][t[y][z]]
-            for x in range(n)
-            for y in range(n)
-            for z in range(n)
-        ):
-            continue
-        out.append(flat)
     return out
 
 
@@ -223,7 +157,7 @@ def canonicalize(
             best_perm = perm
     table, opens = best
     algebra = type(inst.algebra)(n, table)
-    return tsl.TopologizedSemigroup(algebra, topo.FiniteTopology(n, opens)), best_perm
+    return tsl.TopologizedSemigroup(algebra, topo.canonical(n, opens)), best_perm
 
 
 def canonical_hash(inst: tsl.TopologizedSemigroup) -> str:
@@ -1171,12 +1105,13 @@ def _main_conditions(inst, comp) -> tuple:
     )
 
 
-def _main_phase(main_n_max: int, stats, memo) -> None:
+def _main_phase(n_max: int, stats, memo) -> None:
     """Fifteen-way equivalence on finite discrete instances, which are
-    exactly the compact Hausdorff ones.  Every permutation fixes the
-    discrete topology, so each semilattice class counts n!/|Aut(S)| times."""
+    exactly the compact Hausdorff ones, with n <= max(n_max, 4).  Every
+    permutation fixes the discrete topology, so each semilattice class
+    counts n!/|Aut(S)| times."""
     s = stats.setdefault(MAIN_RULE_ID, RuleStats())
-    for n in range(1, main_n_max + 1):
+    for n in range(1, max(n_max, 4) + 1):
         disc = topo.discrete(n)
         for sl, aut in semilattice_classes(n):
             inst = memo.instance(tsl.TopologizedSemigroup(sl, disc))
@@ -1194,7 +1129,6 @@ def sweep(
     n_max: int,
     rule_ids=None,
     threads: int = 1,
-    main_n_max: int = 4,
 ) -> SweepReport:
     """Evaluate every rule over all topology x semilattice pairings up to
     n_max, plus the cross-instance phases.
@@ -1249,7 +1183,7 @@ def sweep(
     if any(_want(rule_ids, rid) for rid in PRODUCT_RULE_IDS):
         _product_phase(small, rule_ids, stats, memo)
     if _want(rule_ids, MAIN_RULE_ID):
-        _main_phase(main_n_max, stats, memo)
+        _main_phase(n_max, stats, memo)
     return SweepReport(n_max, sum(weight for _, weight in classes), stats)
 
 

@@ -24,9 +24,11 @@ TOPOLOGY_NAMES = ("tau", "law", "zar", "weak", "scott", "lawson", "interval")
 
 
 def law_topology(x_instance: tsl.TopologizedSemigroup) -> topo.FiniteTopology:
-    """Topology with a base of open subsemigroups of the original topology."""
+    """Topology with a base of open subsemigroups of the original topology,
+    chosen from the table's subsemigroups (core.derived, once per table).
+    oracles.law_topology_by_opens walks the open sets instead."""
     alg, top = x_instance.algebra, x_instance.topology
-    base = [u for u in top.opens if tsl._is_subsemigroup(alg, u)]
+    base = [s for s in derived(alg, tsl.subsemigroups) if top.is_open(s)]
     return topo.generate_topology(alg.n, base)
 
 
@@ -46,15 +48,17 @@ def multiplicative_cuts(x_instance: tsl.TopologizedSemigroup) -> list[int]:
     the min-interval: every such homomorphism has a finite chain image, its
     level sets are clopen and multiplicatively biconditional, and conversely
     each such S is the support of a two-valued continuous homomorphism.
-    A cut is open, so the walk covers the open sets only, in their ascending
-    order; oracles.multiplicative_cuts_by_scan walks every subset.
+    A cut is closed under the operation, so the candidates are the table's
+    subsemigroups, in their ascending order; oracles.multiplicative_cuts_by_scan
+    walks every subset and oracles.multiplicative_cuts_by_opens every open set.
     """
     alg, top = x_instance.algebra, x_instance.topology
     t, rng = alg.table, range(alg.n)
     return [
         s
-        for s in top.opens
-        if top.is_closed(s)
+        for s in derived(alg, tsl.subsemigroups)
+        if top.is_open(s)
+        and top.is_closed(s)
         and all((s >> t[x][y] & 1) == (s >> x & s >> y & 1) for x in rng for y in rng)
     ]
 
@@ -70,10 +74,10 @@ def scott_topology(poset: FinitePoset) -> topo.FiniteTopology:
     """Upper sets U such that every up-directed set with supremum in U meets U.
 
     On a finite poset: every upper set, since a directed set holds its
-    supremum.  These are the opens generated by the principal upper sets.
+    supremum.  So M_x is the principal upper set of x.
     oracles.scott_topology_by_directed_sups is the literal route.
     """
-    return topo.generate_topology(poset.n, poset.up)
+    return topo.FiniteTopology(poset.n, poset.up)
 
 
 def lawson_topology(poset: FinitePoset) -> topo.FiniteTopology:

@@ -3,17 +3,14 @@ import itertools
 import pytest
 
 from topsl.core import (
-    ChainFlags,
     FinitePoset,
     FiniteSemigroup,
     FiniteSemilattice,
     MalformedTableError,
     NotABandError,
     NotASemilatticeError,
-    as_semilattice,
     bits,
     bound_extremum,
-    chain_and_directed,
     cone,
     full_mask,
     is_linear,
@@ -25,6 +22,7 @@ from topsl.core import (
     verify_semigroup,
     verify_semilattice,
 )
+from topsl.oracles import ChainFlags, chain_and_directed
 from topsl.verify import enumerate_posets, enumerate_semilattices
 
 MIN3 = FiniteSemilattice(3, tuple(tuple(min(x, y) for y in range(3)) for x in range(3)))
@@ -81,13 +79,6 @@ def test_semigroup_classification_flags():
     assert MIN3.is_semilattice
     left_zero = FiniteSemigroup.from_rows([[0, 0], [1, 1]])
     assert left_zero.is_band and not left_zero.is_commutative
-
-
-def test_as_semilattice_promotes():
-    sg = FiniteSemigroup(2, ((0, 0), (0, 1)))
-    sl = as_semilattice(sg)
-    assert isinstance(sl, FiniteSemilattice)
-    assert sl.meet(0, 1) == 0
 
 
 def test_natural_order_of_chain():

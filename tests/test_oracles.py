@@ -11,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topsl import oracles, props, topo, tsl, verify, weak
-from topsl.core import FiniteSemigroup, full_mask, is_shift_homomorphic, verify_semigroup
+from topsl.core import (
+    FiniteSemigroup,
+    bits,
+    full_mask,
+    is_shift_homomorphic,
+    subsets,
+    verify_semigroup,
+)
 
 
 def _pairs(comp):
@@ -98,10 +105,12 @@ def _semilattices(n):
 
 
 @st.composite
-def instances(draw):
-    """A semilattice with n <= 5 points and the topology generated by a
-    random subbase (every topology is generated by its own opens)."""
-    n = draw(st.integers(1, 5))
+def instances(draw, n=None):
+    """A semilattice with n points (by default 1 to 5) and the topology
+    generated by a random subbase (every topology is generated by its own
+    opens)."""
+    if n is None:
+        n = draw(st.integers(1, 5))
     sl = draw(st.sampled_from(_semilattices(n)))
     subbase = draw(st.lists(st.integers(0, full_mask(n)), max_size=6))
     return tsl.TopologizedSemigroup(sl, topo.generate_topology(n, subbase))
@@ -120,6 +129,98 @@ def test_fast_path_matches_oracle(name):
 @given(x=instances())
 def test_fast_path_matches_oracle_on_random_instances(name, x):
     FAST_PATHS[name](x, weak.topology_comparison(x))
+
+
+SMALL_TOPOLOGIES = [t for n in (1, 2) for t in verify.enumerate_topologies(n)]
+
+
+def _generated(x):
+    subs = tsl.subsemigroups(x.algebra)
+    assert topo.generate_topology(x.n, subs).opens == oracles.saturate_family(x.n, subs)
+
+
+def _subspace(x):
+    for s in range(1, 1 << x.n):
+        assert topo.subspace(x.topology, s) == oracles.subspace_by_traces(x.topology, s)
+
+
+def _product(x):
+    for other in SMALL_TOPOLOGIES:
+        assert topo.product(x.topology, other) == oracles.product_by_union_closure(
+            x.topology, other
+        )
+
+
+def _law(x):
+    assert weak.law_topology(x) == oracles.law_topology_by_opens(x)
+
+
+def _cuts_by_opens(x):
+    assert weak.multiplicative_cuts(x) == oracles.multiplicative_cuts_by_opens(x)
+
+
+def _canonical(x):
+    top, n = x.topology, x.n
+    again = topo.canonical(n, reversed(top.opens))
+    assert again == top and hash(again) == hash(top)
+    # drop each open, and add each subset: a topology exactly when the
+    # family is closed under pairwise union and intersection
+    families = [set(top.opens) - {u} for u in top.opens]
+    families += [set(top.opens) | {s} for s in subsets(n)]
+    for fam in families:
+        closed = oracles.saturate_family(n, fam) == tuple(sorted(fam))
+        try:
+            assert topo.canonical(n, fam).opens == tuple(sorted(fam))
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == closed, sorted(fam)
+
+
+REPRESENTATION_ROUTES = {
+    "generate_topology": _generated,
+    "subspace": _subspace,
+    "product": _product,
+    "law_topology": _law,
+    "multiplicative_cuts": _cuts_by_opens,
+    "canonical": _canonical,
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPRESENTATION_ROUTES))
+def test_minimal_route_matches_opens_route(name):
+    """Each route that works from the minimal neighbourhoods against the
+    route over open sets that it replaced, on every instance with n <= 3
+    and on every isomorphism class with n <= 4."""
+    cases = verify.universe(3) + [x for x, _ in verify.instance_classes(4)]
+    assert len(cases) == 270 + 1255
+    for x in cases:
+        REPRESENTATION_ROUTES[name](x)
+
+
+@pytest.mark.parametrize("name", sorted(REPRESENTATION_ROUTES))
+@settings(max_examples=25, deadline=None)
+@given(x=instances(n=5))
+def test_minimal_route_matches_opens_route_on_five_points(name, x):
+    REPRESENTATION_ROUTES[name](x)
+
+
+def test_equal_topologies_have_equal_opens():
+    tops = [t for n in (1, 2, 3) for t in verify.enumerate_topologies(n)]
+    for a, b in itertools.product(tops, repeat=2):
+        assert (a == b) == (a.n == b.n and a.opens == b.opens)
+        if a == b:
+            assert hash(a) == hash(b)
+
+
+def test_enumeration_order_matches_subset_filter():
+    # the open sets of a preorder's topology are its up-sets
+    for n in (1, 2, 3, 4):
+        expected = sorted(
+            tuple(u for u in subsets(n) if all(rows[x] & ~u == 0 for x in bits(u)))
+            for rows in verify._enumerate_reflexive_transitive(n, False)
+        )
+        assert [t.opens for t in verify.enumerate_topologies(n)] == expected
 
 
 def _non_commutative_semigroups(n_max):

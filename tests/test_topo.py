@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 
 from topsl import oracles, topo
 from topsl.core import bits, full_mask, mask_of, subsets
-from topsl.verify import enumerate_topologies, saturate_family
+from topsl.oracles import saturate_family
+from topsl.verify import enumerate_topologies
 
 SIERPINSKI = topo.canonical(2, [0, 0b10, 0b11])
 TOPOLOGIES_UP_TO_4 = {n: enumerate_topologies(n) for n in (1, 2, 3, 4)}
@@ -12,15 +13,24 @@ TOPOLOGIES_UP_TO_4 = {n: enumerate_topologies(n) for n in (1, 2, 3, 4)}
 
 def test_validation_catches_missing_sets():
     with pytest.raises(ValueError, match="missing empty set"):
-        topo.FiniteTopology(2, (1, 3))
+        topo.canonical(2, (1, 3))
     with pytest.raises(ValueError, match="missing full set"):
-        topo.FiniteTopology(2, (0, 1))
+        topo.canonical(2, (0, 1))
     with pytest.raises(ValueError, match="missing union"):
-        topo.FiniteTopology(3, (0, 1, 2, 7))
+        topo.canonical(3, (0, 1, 2, 7))
     with pytest.raises(ValueError, match="missing intersection"):
-        topo.FiniteTopology(3, (0, 0b011, 0b110, 0b111))
-    with pytest.raises(ValueError, match="canonical"):
+        topo.canonical(3, (0, 0b011, 0b110, 0b111))
+    with pytest.raises(ValueError, match="leaves the carrier"):
+        topo.canonical(2, (0, 3, 4))
+    # the field is the minimal neighbourhoods, which must form a preorder
+    with pytest.raises(ValueError, match="3 minimal neighbourhoods for 2 points"):
         topo.FiniteTopology(2, (0, 3, 1))
+    with pytest.raises(ValueError, match="misses 0"):
+        topo.FiniteTopology(2, (0b10, 0b11))
+    with pytest.raises(ValueError, match="leaves the carrier"):
+        topo.FiniteTopology(2, (0b101, 0b10))
+    with pytest.raises(ValueError, match="not a preorder"):
+        topo.FiniteTopology(3, (0b011, 0b110, 0b100))
 
 
 def test_validation_accepts_exactly_the_saturated_families():
@@ -32,11 +42,11 @@ def test_validation_accepts_exactly_the_saturated_families():
         chosen = {s for i, s in enumerate(middle) if pick >> i & 1}
         fam = tuple(sorted(chosen | {0, full}))
         if saturate_family(3, fam) == fam:
-            assert topo.FiniteTopology(3, fam).opens == fam
+            assert topo.canonical(3, fam).opens == fam
             accepted += 1
         else:
             with pytest.raises(ValueError):
-                topo.FiniteTopology(3, fam)
+                topo.canonical(3, fam)
     assert accepted == 29
 
 
@@ -139,9 +149,9 @@ def test_finite_t1_is_discrete():
 
 def test_specialization_preorder_recovers_opens():
     # finite topologies are exactly the up-set families of their
-    # specialization preorders
+    # specialization preorders, which are their minimal neighbourhoods
     for top in enumerate_topologies(3):
-        rel = topo.specialization_preorder(top)
+        rel = top.minimal
         opens = [
             u
             for u in subsets(3)

@@ -139,16 +139,16 @@ def test_chain_semilattice():
 
 
 def test_enumerate_chain_homs_discrete_chain():
-    homs = tsl.enumerate_chain_homs(inst(MIN2, topo.discrete(2)))
+    homs = oracles.enumerate_chain_homs(inst(MIN2, topo.discrete(2)))
     assert [h.mapping for h in homs] == [(0, 0), (0, 1)]
 
 
 def test_enumerate_chain_homs_respect_topology():
-    homs = tsl.enumerate_chain_homs(inst(MIN2, SIERPINSKI_TOP))
+    homs = oracles.enumerate_chain_homs(inst(MIN2, SIERPINSKI_TOP))
     # the identity hom is discontinuous here: the fiber over 0 is not open
     assert [h.mapping for h in homs] == [(0, 0)]
     with pytest.raises(ValueError):
-        tsl.enumerate_chain_homs(inst(MIN2, topo.discrete(2)), k_max=3)
+        oracles.enumerate_chain_homs(inst(MIN2, topo.discrete(2)), k_max=3)
 
 
 def _topological_matches_product_oracle(x):

@@ -16,11 +16,11 @@ Z2 = FiniteSemigroup.from_rows([[0, 1], [1, 0]])
 
 def test_enumeration_counts_match_oracles():
     assert [len(verify.enumerate_topologies(n)) for n in (1, 2, 3)] == [1, 4, 29]
-    assert [verify.brute_force_topology_count(n) for n in (1, 2, 3)] == [1, 4, 29]
+    assert [oracles.brute_force_topology_count(n) for n in (1, 2, 3)] == [1, 4, 29]
     for n in (1, 2, 3):
         tables = [sl.table for sl in verify.enumerate_semilattices(n)]
         flat = [tuple(v for row in t for v in row) for t in tables]
-        assert flat == verify.brute_force_semilattice_tables(n)
+        assert flat == oracles.brute_force_semilattice_tables(n)
 
 
 def test_enumerations_are_sorted_and_bounded():
@@ -73,16 +73,16 @@ def test_canonical_hash_is_permutation_invariant(data):
     perm = data.draw(st.permutations(range(x.n)))
     table, opens = verify._permute_instance(x, tuple(perm))
     y = tsl.TopologizedSemigroup(
-        FiniteSemilattice(x.n, table), topo.FiniteTopology(x.n, opens)
+        FiniteSemilattice(x.n, table), topo.canonical(x.n, opens)
     )
     assert verify.canonical_hash(x) == verify.canonical_hash(y)
 
 
 def test_sweep_small_counts():
-    r1 = verify.sweep(1, main_n_max=1)
+    r1 = verify.sweep(1)
     assert r1.instances_checked == 1
     assert r1.total_violations == 0
-    r2 = verify.sweep(2, main_n_max=2)
+    r2 = verify.sweep(2)
     assert r2.instances_checked == 9
     assert r2.total_violations == 0
     # the Hausdorff instances at n <= 2: singleton plus the two discrete chains
@@ -288,7 +288,7 @@ def test_properties_are_relabeling_invariant(data):
     x = tsl.TopologizedSemigroup(sl, top)
     table, opens = verify._permute_instance(x, perm)
     y = tsl.TopologizedSemigroup(
-        FiniteSemilattice(n, table), topo.FiniteTopology(n, opens)
+        FiniteSemilattice(n, table), topo.canonical(n, opens)
     )
     cx, cy = weak.topology_comparison(x), weak.topology_comparison(y)
     assert (cx.weak_circ, cx.weak_bullet, cx.i_weak) == (cy.weak_circ, cy.weak_bullet, cy.i_weak)
@@ -307,8 +307,8 @@ def test_meet_continuity_matches_scan():
 
 
 def test_sweep_render_is_stable():
-    a = verify.sweep(2, main_n_max=2).render()
-    b = verify.sweep(2, main_n_max=2, threads=3).render()
+    a = verify.sweep(2).render()
+    b = verify.sweep(2, threads=3).render()
     assert a == b
     assert a.startswith("sweep n_max=2\ninstances checked: 9\n")
     assert a.rstrip().endswith("total violations: 0")
