@@ -70,17 +70,6 @@ def saturate_family(n: int, seeds) -> tuple[int, ...]:
     return tuple(sorted(fam))
 
 
-def is_topology_by_pairs(n: int, family) -> bool:
-    """topo.canonical's decision: the family lies in the carrier, holds the
-    empty and full sets, and holds the union and intersection of every pair."""
-    fam = set(family)
-    return (
-        {0, full_mask(n)} <= fam
-        and all(u & ~full_mask(n) == 0 for u in fam)
-        and all(a | b in fam and a & b in fam for a in fam for b in fam)
-    )
-
-
 def brute_force_topology_count(n: int) -> int:
     """Count union/intersection-closed subset families containing the empty
     and full sets, by scanning all 2**(2**n) candidate families (n <= 4)."""

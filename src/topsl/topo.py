@@ -96,7 +96,7 @@ def canonical(n: int, opens) -> FiniteTopology:
     come in any order and with repeats.  The family's M_x are the ANDs of
     its members; it is a topology exactly when it holds each M_x and its
     members are the unions of the M_x.  Raises ValueError naming a missing
-    set.  oracles.is_topology_by_pairs checks every pair instead."""
+    set.  oracles.saturate_family closes a family pair by pair."""
     family = frozenset(opens)
     full = full_mask(n)
     if 0 not in family:
@@ -106,16 +106,15 @@ def canonical(n: int, opens) -> FiniteTopology:
     for u in sorted(family):
         if u & ~full:
             raise ValueError(f"open set {u:#x} leaves the carrier")
-    minimal = _minimal(n, family)
-    for x, m in enumerate(minimal):
+    top = FiniteTopology(n, _minimal(n, family))
+    for x, m in enumerate(top.minimal):
         if m not in family:
             raise ValueError(f"missing intersection {m:#x} of the open sets around {x}")
-    top = FiniteTopology(n, minimal)
     if top._open_set != family:
         # each member is the union of the M_x of its points, so the walk
         # found every member; it also found u | M_x for some member u
         u, m = next(
-            (u, m) for u in sorted(family) for m in minimal if u | m not in family
+            (u, m) for u in sorted(family) for m in top.minimal if u | m not in family
         )
         raise ValueError(f"missing union of {u:#x} and {m:#x}")
     return top
