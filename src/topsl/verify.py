@@ -31,7 +31,6 @@ from .core import (
     bound_extremum,
     cone,
     derived,
-    full_mask,
     is_shift_homomorphic,
     mask_of,
     natural_order,
