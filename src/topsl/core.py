@@ -27,12 +27,23 @@ def full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
-def bits(mask: int) -> Iterator[int]:
-    """Element indices present in a bitmask, ascending."""
+def _bits_loop(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+# the indices of every mask over at most 10 points, the CLI's carrier bound
+_BITS = tuple(tuple(_bits_loop(m)) for m in range(1 << 10))
+
+
+def bits(mask: int) -> Iterable[int]:
+    """Element indices present in a bitmask, ascending: a precomputed tuple
+    for masks below 2**10, a generator for larger ones."""
+    if 0 <= mask < len(_BITS):
+        return _BITS[mask]
+    return _bits_loop(mask)
 
 
 def popcount(mask: int) -> int:

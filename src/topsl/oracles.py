@@ -416,6 +416,21 @@ def multiplicative_cuts_by_opens(x_instance: tsl.TopologizedSemigroup) -> list[i
     return _cuts_among(x_instance, x_instance.topology.opens)
 
 
+def reflexive_transitive_by_product(n: int, antisymmetric: bool):
+    """verify._enumerate_reflexive_transitive: every tuple of rows that hold
+    their own point, in product order, filtered by transitivity (and
+    antisymmetry when asked) over all pairs."""
+    row_options = [[m for m in subsets(n) if m >> x & 1] for x in range(n)]
+    for rows in itertools.product(*row_options):
+        if all(
+            not rows[y] & ~rows[x]
+            and not (antisymmetric and y != x and rows[y] >> x & 1)
+            for x in range(n)
+            for y in bits(rows[x])
+        ):
+            yield rows
+
+
 def enumerate_semilattices_by_bounds(n: int) -> list[FiniteSemilattice]:
     """verify.enumerate_semilattices, finding each meet as the greatest lower
     bound of the pair (core.bound_extremum)."""
@@ -429,6 +444,24 @@ def enumerate_semilattices_by_bounds(n: int) -> list[FiniteSemilattice]:
             out.append(FiniteSemilattice(n, tuple(tuple(row) for row in meets)))
     out.sort(key=lambda sl: sl.table)
     return out
+
+
+def law_hausdorff_witness_by_opens(
+    x_instance: tsl.TopologizedSemigroup, x: int, y: int
+) -> tuple[int, int] | None:
+    """props.law_hausdorff_witness, choosing the open subsemigroups from the
+    open sets of the topology, each tested for closure under the operation."""
+    if x == y:
+        raise ValueError("witness needs two distinct points")
+    alg, top = x_instance.algebra, x_instance.topology
+    open_subs = [u for u in top.opens if tsl._is_subsemigroup(alg, u)]
+    for a in open_subs:
+        if not a >> x & 1:
+            continue
+        for b in open_subs:
+            if b >> y & 1 and not a & b:
+                return (a, b)
+    return None
 
 
 def open_covers_by_scan(top: topo.FiniteTopology) -> list[tuple[int, int]]:

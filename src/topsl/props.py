@@ -109,12 +109,15 @@ def law_hausdorff_witness(
 ) -> tuple[int, int] | None:
     """Disjoint open subsemigroups around x and y, or None.
 
-    Returns the lexicographically smallest witness pair (by bitmask).
+    Returns the lexicographically smallest witness pair (by bitmask).  The
+    candidates are the table's subsemigroups (core.derived, once per table)
+    that are open, ascending; oracles.law_hausdorff_witness_by_opens walks
+    the open sets instead.
     """
     if x == y:
         raise ValueError("witness needs two distinct points")
     alg, top = x_instance.algebra, x_instance.topology
-    open_subs = [u for u in top.opens if tsl._is_subsemigroup(alg, u)]
+    open_subs = [s for s in derived(alg, tsl.subsemigroups) if top.is_open(s)]
     for a in open_subs:
         if not a >> x & 1:
             continue

@@ -51,27 +51,41 @@ THREADS_MAX = 16  # a threaded sweep starts one thread per shard
 
 def _enumerate_reflexive_transitive(n: int, antisymmetric: bool):
     """All relation row-tuples (row[x] = mask of {y : x R y}) that are
-    reflexive, transitive, and optionally antisymmetric, in ascending order."""
+    reflexive, transitive, and optionally antisymmetric, in ascending order.
+
+    Rows are fixed in order by backtracking, each candidate row (ascending,
+    holding its own point) checked only against the rows already fixed: a
+    pair of points is decided once both rows are.  This prunes the product
+    of the row candidates and keeps its order;
+    oracles.reflexive_transitive_by_product filters the whole product."""
     if not 1 <= n <= ENUM_MAX:
         raise ValueError(f"n must be in 1..{ENUM_MAX}, got {n}")
     row_options = [
         [m for m in subsets(n) if m >> x & 1] for x in range(n)
     ]
-    for rows in itertools.product(*row_options):
-        ok = True
-        for x in range(n):
+    rows = [0] * n
+
+    def fits(k: int, m: int) -> bool:
+        for x in range(k):
             rx = rows[x]
-            for y in bits(rx):
-                if rows[y] & ~rx:
-                    ok = False
-                    break
-                if antisymmetric and y != x and rows[y] >> x & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            yield rows
+            if rx >> k & 1 and m & ~rx:  # x R k: row k lies within row x
+                return False
+            if m >> x & 1 and rx & ~m:  # k R x: row x lies within row k
+                return False
+            if antisymmetric and rx >> k & 1 and m >> x & 1:
+                return False
+        return True
+
+    def extend(k: int):
+        if k == n:
+            yield tuple(rows)
+            return
+        for m in row_options[k]:
+            if fits(k, m):
+                rows[k] = m
+                yield from extend(k + 1)
+
+    return extend(0)
 
 
 def enumerate_posets(n: int) -> list[FinitePoset]:
@@ -378,9 +392,14 @@ class InstanceContext:
 
 @dataclass(frozen=True)
 class Rule:
+    """A rule's check takes an InstanceContext and returns the details of
+    its violations.  A per_table rule reads only the semilattice table: its
+    check takes the algebra and runs once per table (core.derived)."""
+
     id: str
     hypotheses: tuple[str, ...]
-    check: Callable[[InstanceContext], list[str]]
+    check: Callable[..., list[str]]
+    per_table: bool = False
 
 
 def _implies(*conclusions: str):
@@ -488,10 +507,16 @@ def _check_open_upper_scott(ctx: InstanceContext) -> list[str]:
     return out
 
 
-def _check_maxchain_extrema(ctx: InstanceContext) -> list[str]:
-    poset = ctx.poset
+def _order_of(alg: FiniteSemigroup) -> tuple[FinitePoset, tuple[int, ...]]:
+    """The natural order of a table and its maximal chains."""
+    poset = derived(alg, natural_order)
+    return poset, derived(poset, FinitePoset.maximal_chains)
+
+
+def _check_maxchain_extrema(alg: FiniteSemigroup) -> list[str]:
+    poset, chains = _order_of(alg)
     out = []
-    for m in ctx.chains:
+    for m in chains:
         for c in _submasks(m):
             lo = bound_extremum(poset, c, "inf")
             hi = bound_extremum(poset, c, "sup")
@@ -522,11 +547,12 @@ def _check_trace(direction: str):
     """The trace of each principal down-set (up-set) on a maximal chain is
     the principal down-set (up-set) of its maximum (minimum)."""
 
-    def check(ctx: InstanceContext) -> list[str]:
-        rows = ctx.poset.downs if direction == "down" else ctx.poset.up
+    def check(alg: FiniteSemigroup) -> list[str]:
+        poset, chains = _order_of(alg)
+        rows = poset.downs if direction == "down" else poset.up
         out = []
-        for x in range(ctx.inst.n):
-            for m in ctx.chains:
+        for x in range(alg.n):
+            for m in chains:
                 trace = m & rows[x]
                 if trace and trace != m & rows[_chain_extremum(rows, trace)]:
                     out.append(f"{direction}-trace {trace:#x} of {x} is not principal")
@@ -535,8 +561,7 @@ def _check_trace(direction: str):
     return check
 
 
-def _check_shift_identities(ctx: InstanceContext) -> list[str]:
-    alg = ctx.inst.algebra
+def _check_shift_identities(alg: FiniteSemigroup) -> list[str]:
     t = alg.table
     literal = all(
         is_homomorphism(alg, alg, [t[a][x] for x in range(alg.n)])
@@ -780,12 +805,18 @@ PER_INSTANCE_RULES = (
     # order-topological lemmas
     Rule("chains.closure_of_chain_is_chain", ("updown_closed",), _check_chain_closures),
     Rule("scott.open_upper_sets_are_scott_open", (), _check_open_upper_scott),
-    Rule("chains.maxchain_contains_extrema", (), _check_maxchain_extrema),
+    Rule(
+        "chains.maxchain_contains_extrema", (), _check_maxchain_extrema, per_table=True
+    ),
     Rule("scott.maxchain_gap_is_principal", (), _check_scott_gap),
-    Rule("order.maxchain_down_trace_principal", (), _check_trace("down")),
-    Rule("order.maxchain_up_trace_principal", (), _check_trace("up")),
+    Rule(
+        "order.maxchain_down_trace_principal", (), _check_trace("down"), per_table=True
+    ),
+    Rule("order.maxchain_up_trace_principal", (), _check_trace("up"), per_table=True),
     # algebraic rules
-    Rule("shifts.homomorphic_iff_identities", (), _check_shift_identities),
+    Rule(
+        "shifts.homomorphic_iff_identities", (), _check_shift_identities, per_table=True
+    ),
     Rule(
         "shifts.law_zar_remain_semitopological",
         ("shift_homomorphic", "semitopological"),
@@ -935,12 +966,14 @@ def instance_classes(n_max: int) -> list[tuple[tsl.TopologizedSemigroup, int]]:
 
 class SweepMemo:
     """What one sweep computes once: the comparison report of each distinct
-    instance, and the order data of each distinct semilattice table, derived
-    (core.derived) on the one algebra object the memo keeps for that table.
+    instance, and the order data and per-table rule details of each distinct
+    semilattice table, derived (core.derived) on the one algebra object the
+    memo keeps for that table.
 
     Owned by one sweep() call and dropped when it returns.  The shards of a
     threaded sweep share it; two threads that miss the same entry at once
-    both compute it, and the equal results make the race harmless.
+    both compute it, and the equal results make the race harmless.  The sub
+    phase's memo of one table is not here: each shard keeps its own.
     """
 
     def __init__(self):
@@ -968,31 +1001,45 @@ def _want(rule_ids, rule_id: str) -> bool:
     return rule_ids is None or rule_id in rule_ids
 
 
+def _where(inst: tsl.TopologizedSemigroup, weight: int) -> str:
+    """How a violation line names a class: its representative and orbit."""
+    return f"{_describe(inst)} orbit={weight}"
+
+
 def _evaluate_instance(
-    inst: tsl.TopologizedSemigroup, rule_ids, memo: SweepMemo, weight: int
+    inst: tsl.TopologizedSemigroup,
+    rule_ids,
+    memo: SweepMemo,
+    weight: int,
+    sub_reports: Optional[dict] = None,
 ) -> dict:
     """Every selected per-instance and sub rule on inst, each counted weight
-    times: inst stands for its labeled orbit of that size."""
+    times: inst stands for its labeled orbit of that size.  The details of a
+    per-table rule are decided once per table and named with each class that
+    has them.  sub_reports is the sub phase's memo for inst's table; a call
+    without one starts its own."""
     stats = {}
     inst = memo.instance(inst)
     comp = memo.comparison(inst)
     pv = props.property_vector(inst, comp).as_dict()
-    poset = derived(inst.algebra, natural_order)
-    chains = derived(poset, FinitePoset.maximal_chains)
+    poset, chains = _order_of(inst.algebra)
     ctx = InstanceContext(inst, poset, chains, comp, pv)
-    where = f"{_describe(inst)} orbit={weight}"
     for rule in PER_INSTANCE_RULES:
         if not _want(rule_ids, rule.id):
             continue
         s = stats.setdefault(rule.id, RuleStats())
         if all(pv[h] for h in rule.hypotheses):
             s.applied += weight
-            for detail in rule.check(ctx):
-                s.violations.append(f"{where} :: {detail}")
+            if rule.per_table:
+                details = derived(inst.algebra, rule.check)
+            else:
+                details = rule.check(ctx)
+            s.violations.extend(f"{_where(inst, weight)} :: {d}" for d in details)
         else:
             s.vacuous += weight
     if any(_want(rule_ids, rid) for rid in SUB_RULE_IDS):
-        _evaluate_sub_rules(inst, comp, pv, stats, rule_ids, where, memo, weight)
+        reports = {} if sub_reports is None else sub_reports
+        _evaluate_sub_rules(inst, comp, pv, stats, rule_ids, memo, weight, reports)
     return stats
 
 
@@ -1011,24 +1058,50 @@ def _tally(stats, rule_ids, rule_id, verdict, weight, violations) -> None:
         s.violations.extend(violations)
 
 
-def _evaluate_sub_rules(inst, comp, pv, stats, rule_ids, where, memo, weight) -> None:
-    for s_mask, sub_alg in derived(inst.algebra, sub_algebras):
-        sub = tsl.TopologizedSemigroup(sub_alg, topo.subspace(inst.topology, s_mask))
-        sub_comp = memo.comparison(sub)
-        lost = [f"{where} :: subsemigroup {s_mask:#x} loses the property"]
-        for rule_id, flag in (
-            ("sub.weak_circ_inherited", "weak_circ"),
-            ("sub.weak_bullet_inherited", "weak_bullet"),
-            ("sub.i_weak_inherited", "i_weak"),
-        ):
-            inherited = getattr(sub_comp, flag) if getattr(comp, flag) else None
-            _tally(stats, rule_ids, rule_id, inherited, weight, lost)
-        coincides = None
-        if pv["subtopological"]:
-            coincides = sub_comp.bundle.zar == topo.subspace(comp.bundle.zar, s_mask)
-        not_trace = [f"{where} :: zar of subsemigroup {s_mask:#x} is not the trace"]
-        rule_id = "sub.zar_subspace_coincides"
-        _tally(stats, rule_ids, rule_id, coincides, weight, not_trace)
+def _sub_report(inst: tsl.TopologizedSemigroup, s: int, sub_alg, memo: SweepMemo):
+    """What the sub rules read of the subsemigroup s of inst under the
+    subspace topology: its weak_circ, weak_bullet and i_weak flags, and the
+    minimal neighbourhoods of its zar topology on the points of inst."""
+    sub = tsl.TopologizedSemigroup(sub_alg, topo.subspace(inst.topology, s))
+    sub_comp = memo.comparison(sub)
+    elems = tuple(bits(s))
+    zar = tuple(mask_of(elems[i] for i in bits(m)) for m in sub_comp.bundle.zar.minimal)
+    return sub_comp.weak_circ, sub_comp.weak_bullet, sub_comp.i_weak, zar
+
+
+# the violation line of each of SUB_RULE_IDS, for a subsemigroup s
+_SUB_LINES = ("subsemigroup {:#x} loses the property",) * 3 + (
+    "zar of subsemigroup {:#x} is not the trace",
+)
+
+
+def _evaluate_sub_rules(inst, comp, pv, stats, rule_ids, memo, weight, reports) -> None:
+    """SUB_RULE_IDS over every nonempty subsemigroup s of inst, counted
+    weight times each.  The subspace on s is fixed by the raw trace
+    (M_x & s for x in s), so reports, the memo of inst's table, keeps each
+    (s, trace)'s _sub_report, and the subspace is built only on a miss.
+    The zar rule compares the minimal neighbourhoods of the subspace's zar
+    with the trace of inst's zar on s."""
+    subs = derived(inst.algebra, sub_algebras)
+    minimal, zar = inst.topology.minimal, comp.bundle.zar.minimal
+    applies = (comp.weak_circ, comp.weak_bullet, comp.i_weak, pv["subtopological"])
+    failed = ([], [], [], [])
+    for s, sub_alg in subs:
+        elems = bits(s)
+        key = (s, tuple(minimal[x] & s for x in elems))
+        report = reports.get(key)
+        if report is None:
+            report = reports[key] = _sub_report(inst, s, sub_alg, memo)
+        *inherited, sub_zar = report
+        for lost, applied, holds in zip(failed, applies, inherited):
+            if applied and not holds:
+                lost.append(s)
+        if applies[3] and sub_zar != tuple(zar[x] & s for x in elems):
+            failed[3].append(s)
+    count = weight * len(subs)
+    for rule_id, applied, lost, line in zip(SUB_RULE_IDS, applies, failed, _SUB_LINES):
+        lines = [f"{_where(inst, weight)} :: {line.format(s)}" for s in lost]
+        _tally(stats, rule_ids, rule_id, not lost if applied else None, count, lines)
 
 
 _CLAUSES = ("continuity", "openness", "closedness", "embedding")
@@ -1120,7 +1193,7 @@ def _main_phase(n_max: int, stats, memo) -> None:
             values = _main_conditions(inst, comp)
             if len(set(values)) > 1:
                 s.violations.append(
-                    f"{_describe(inst)} orbit={weight} :: conditions disagree: {values}"
+                    f"{_where(inst, weight)} :: conditions disagree: {values}"
                 )
 
 
@@ -1160,8 +1233,14 @@ def sweep(
 
     def run_shard(k: int) -> dict:
         partial: dict = {}
+        table, sub_reports = None, {}
         for inst, weight in classes[k::threads]:
-            for rule_id, rs in _evaluate_instance(inst, rule_ids, memo, weight).items():
+            # a shard visits the classes of one table contiguously, and drops
+            # that table's sub reports when it moves on
+            if inst.algebra != table:
+                table, sub_reports = inst.algebra, {}
+            stats = _evaluate_instance(inst, rule_ids, memo, weight, sub_reports)
+            for rule_id, rs in stats.items():
                 partial.setdefault(rule_id, RuleStats()).merge(rs)
         return partial
 

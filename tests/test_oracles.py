@@ -223,6 +223,28 @@ def test_enumeration_order_matches_subset_filter():
         assert [t.opens for t in verify.enumerate_topologies(n)] == expected
 
 
+def test_backtracking_enumeration_matches_product_filter():
+    counts = {}
+    for n in (1, 2, 3, 4, 5):
+        for antisymmetric in (True, False):
+            rows = list(verify._enumerate_reflexive_transitive(n, antisymmetric))
+            by_product = oracles.reflexive_transitive_by_product(n, antisymmetric)
+            assert rows == list(by_product)
+            counts[n, antisymmetric] = len(rows)
+    assert counts[5, False] == 6942  # topologies
+    assert counts[5, True] == 4231  # partial orders
+
+
+def test_law_hausdorff_witness_matches_opens_route():
+    cases = verify.universe(3) + [x for x, _ in verify.instance_classes(4) if x.n == 4]
+    assert len(cases) == 270 + 1203
+    for x in cases:
+        for a, b in itertools.permutations(range(x.n), 2):
+            assert props.law_hausdorff_witness(
+                x, a, b
+            ) == oracles.law_hausdorff_witness_by_opens(x, a, b)
+
+
 def _non_commutative_semigroups(n_max):
     out = []
     for n in range(1, n_max + 1):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -169,6 +170,12 @@ def test_class_weights_sum_to_labeled_counts():
         assert len(verify.enumerate_semilattices(n)) == labeled
 
 
+def test_five_point_class_weights_sum_to_labeled_count():
+    # 15 semilattice classes with 1,065 labeled tables, times 6,942 topologies
+    weights = [w for x, w in verify.instance_classes(5) if x.n == 5]
+    assert sum(weights) == 1065 * 6942 == 7_393_230
+
+
 def test_class_representatives_are_first_of_their_class():
     # each class holds exactly weight labeled instances, and its
     # representative is the first of them in enumeration order
@@ -259,23 +266,70 @@ def test_sweep4_render_matches_labeled_golden_output():
 
 
 def test_violation_lines_name_the_representative_and_its_orbit(monkeypatch):
-    def always_fails(ctx):
-        return ["forced"]
-
-    rule = verify.PER_INSTANCE_RULES[0]
-    monkeypatch.setattr(
-        verify, "PER_INSTANCE_RULES", (verify.Rule(rule.id, rule.hypotheses, always_fails),)
-    )
-    report = verify.sweep(2, rule_ids=[rule.id])
-    stats = report.rules[rule.id]
-    assert stats.applied == 9
     # one line per class: the point, and the 2-point chain, which has no
     # nontrivial automorphism, under each of its 4 topologies (2 labelings)
     classes = verify.instance_classes(2)
     assert [w for _, w in classes] == [1, 2, 2, 2, 2]
-    assert sorted(stats.violations) == sorted(
-        f"{verify._describe(x)} orbit={w} :: forced" for x, w in classes
-    )
+    expected = sorted(f"{verify._describe(x)} orbit={w} :: forced" for x, w in classes)
+    rules = {r.id: r for r in verify.PER_INSTANCE_RULES}
+    # a rule checked on each class, and one checked once per table (2 here)
+    for rule_id, checks in (
+        ("diagram.weak_within_law_within_tau", 5),
+        ("chains.maxchain_contains_extrema", 2),
+    ):
+        rule = rules[rule_id]
+        assert rule.per_table == (checks == 2)
+        calls = []
+
+        def always_fails(arg):
+            calls.append(arg)
+            return ["forced"]
+
+        forced = dataclasses.replace(rule, check=always_fails)
+        monkeypatch.setattr(verify, "PER_INSTANCE_RULES", (forced,))
+        for threads in (1, 2):
+            calls.clear()
+            stats = verify.sweep(2, rule_ids=[rule_id], threads=threads).rules[rule_id]
+            assert stats.applied == 9
+            assert sorted(stats.violations) == expected
+            if threads == 1:  # two shards may race to decide the same table
+                assert len(calls) == checks
+
+
+def test_sub_rule_violation_lines_name_each_subsemigroup(monkeypatch):
+    # every applicable sub rule fails once its subsemigroup's report says
+    # the property is lost and gives a zar that is no trace
+    full = verify.sweep(3, rule_ids=verify.SUB_RULE_IDS)
+    monkeypatch.setattr(verify, "_sub_report", lambda *args: (False, False, False, ()))
+    expected = {rule_id: [] for rule_id in verify.SUB_RULE_IDS}
+    for x, w in verify.instance_classes(3):
+        comp = weak.topology_comparison(x)
+        applies = (
+            comp.weak_circ,
+            comp.weak_bullet,
+            comp.i_weak,
+            tsl.continuity_profile(x).subtopological,
+        )
+        where = f"{verify._describe(x)} orbit={w}"
+        for s in tsl.subsemigroups(x.algebra)[1:]:
+            lost = f"{where} :: subsemigroup {s:#x} loses the property"
+            not_trace = f"{where} :: zar of subsemigroup {s:#x} is not the trace"
+            lines = (lost,) * 3 + (not_trace,)
+            for rule_id, applied, line in zip(verify.SUB_RULE_IDS, applies, lines):
+                if applied:
+                    expected[rule_id].append(line)
+    for threads in (1, 2):
+        report = verify.sweep(3, rule_ids=verify.SUB_RULE_IDS, threads=threads)
+        assert set(report.rules) == set(verify.SUB_RULE_IDS)
+        for rule_id, stats in report.rules.items():
+            assert stats.violations
+            assert sorted(stats.violations) == sorted(expected[rule_id])
+            # the counts do not depend on the verdicts
+            assert (stats.applied, stats.vacuous) == (
+                full.rules[rule_id].applied,
+                full.rules[rule_id].vacuous,
+            )
+            assert full.rules[rule_id].violations == []
 
 
 @settings(max_examples=40, deadline=None)
