@@ -34,8 +34,16 @@ def _bits_loop(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-# the indices of every mask over at most 10 points, the CLI's carrier bound
-_BITS = tuple(tuple(_bits_loop(m)) for m in range(1 << 10))
+def _bits_table(width: int) -> tuple[tuple[int, ...], ...]:
+    """The indices of every mask below 2**width: the masks with bit i set
+    follow those without it, each with i appended."""
+    table: list[tuple[int, ...]] = [()]
+    for i in range(width):
+        table += [t + (i,) for t in table]
+    return tuple(table)
+
+
+_BITS = _bits_table(10)  # every carrier the CLI accepts (cli.CLI_MAX)
 
 
 def bits(mask: int) -> Iterable[int]:

@@ -1077,21 +1077,21 @@ _SUB_LINES = ("subsemigroup {:#x} loses the property",) * 3 + (
 
 def _evaluate_sub_rules(inst, comp, pv, stats, rule_ids, memo, weight, reports) -> None:
     """SUB_RULE_IDS over every nonempty subsemigroup s of inst, counted
-    weight times each.  The subspace on s is fixed by the raw trace
-    (M_x & s for x in s), so reports, the memo of inst's table, keeps each
-    (s, trace)'s _sub_report, and the subspace is built only on a miss.
-    The zar rule compares the minimal neighbourhoods of the subspace's zar
-    with the trace of inst's zar on s."""
+    weight times each.  The raw trace (M_x & s for x in s) fixes the
+    subspace on s, and s itself, the union of its entries, so reports, the
+    memo of inst's table, keeps the _sub_report of each trace, and the
+    subspace is built only on a miss.  The zar rule compares the minimal
+    neighbourhoods of the subspace's zar with the trace of inst's zar on s."""
     subs = derived(inst.algebra, sub_algebras)
     minimal, zar = inst.topology.minimal, comp.bundle.zar.minimal
     applies = (comp.weak_circ, comp.weak_bullet, comp.i_weak, pv["subtopological"])
     failed = ([], [], [], [])
     for s, sub_alg in subs:
         elems = bits(s)
-        key = (s, tuple(minimal[x] & s for x in elems))
-        report = reports.get(key)
+        trace = tuple(minimal[x] & s for x in elems)
+        report = reports.get(trace)
         if report is None:
-            report = reports[key] = _sub_report(inst, s, sub_alg, memo)
+            report = reports[trace] = _sub_report(inst, s, sub_alg, memo)
         *inherited, sub_zar = report
         for lost, applied, holds in zip(failed, applies, inherited):
             if applied and not holds:

@@ -41,6 +41,10 @@ Z2 = FiniteSemigroup.from_rows([[0, 1], [1, 0]])
 def test_bitmask_helpers():
     assert full_mask(3) == 0b111
     assert list(bits(0b1011)) == [0, 1, 3]
+    # masks below 2**10 read a precomputed table, larger ones walk the bits
+    for m in range(1 << 11):
+        assert list(bits(m)) == [i for i in range(11) if m >> i & 1]
+    assert list(bits(1 << 80 | 0b101)) == [0, 2, 80]
     assert popcount(0b1011) == 3
     assert mask_of([0, 3]) == 0b1001
     assert list(subsets(2)) == [0, 1, 2, 3]
