@@ -7,6 +7,7 @@ immutable and pure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -166,8 +167,9 @@ class FiniteSemigroup:
             for y in range(x + 1, self.n)
         )
 
-    @property
+    @functools.cached_property
     def is_semilattice(self) -> bool:
+        """Computed once per algebra object and kept on it."""
         return self.is_band and self.is_commutative
 
 

@@ -446,6 +446,25 @@ def enumerate_semilattices_by_bounds(n: int) -> list[FiniteSemilattice]:
     return out
 
 
+def semilattice_classes_by_semilattices(n: int) -> list[tuple[FiniteSemilattice, tuple]]:
+    """verify.semilattice_classes, walking the built and validated
+    semilattices of enumerate_semilattices."""
+    perms = list(itertools.permutations(range(n)))
+    seen = set()
+    out = []
+    for sl in verify.enumerate_semilattices(n):
+        if sl.table in seen:
+            continue
+        aut = []
+        for perm in perms:
+            image = verify._permute_table(sl.table, perm)
+            seen.add(image)
+            if image == sl.table:
+                aut.append(perm)
+        out.append((sl, tuple(aut)))
+    return out
+
+
 def law_hausdorff_witness_by_opens(
     x_instance: tsl.TopologizedSemigroup, x: int, y: int
 ) -> tuple[int, int] | None:
@@ -461,6 +480,29 @@ def law_hausdorff_witness_by_opens(
         for b in open_subs:
             if b >> y & 1 and not a & b:
                 return (a, b)
+    return None
+
+
+def zar_hausdorff_witness_by_combinations(
+    x_instance: tsl.TopologizedSemigroup, x: int, y: int
+) -> tuple[int, ...] | None:
+    """props.zar_hausdorff_witness, trying every combination of the closed
+    subsemigroups that do not hold both x and y, smallest first."""
+    if x == y:
+        raise ValueError("witness needs two distinct points")
+    full = full_mask(x_instance.n)
+    closed_subs = [
+        f
+        for f in tsl.enumerate_subsemigroups(x_instance, closed_only=True)
+        if f and not (f >> x & 1 and f >> y & 1)
+    ]
+    for r in range(1, len(closed_subs) + 1):
+        for combo in itertools.combinations(closed_subs, r):
+            cover = 0
+            for f in combo:
+                cover |= f
+            if cover == full:
+                return combo
     return None
 
 

@@ -58,14 +58,14 @@ class SeparationSuite:
     weak_hausdorff: bool
 
 
-def i_separated(x_instance: tsl.TopologizedSemigroup) -> bool:
+def i_separated(x_instance: tsl.TopologizedSemigroup, cuts) -> bool:
     """Continuous homomorphisms into the min-interval separate all points.
 
     Two points get different values under some homomorphism exactly when
     some multiplicative cut (a level set of such a homomorphism) contains
-    one of them but not the other.
+    one of them but not the other.  cuts are the instance's
+    weak.multiplicative_cuts, as its comparison report carries them.
     """
-    cuts = weak.multiplicative_cuts(x_instance)
     return all(
         any((s >> x & 1) != (s >> y & 1) for s in cuts)
         for x, y in itertools.combinations(range(x_instance.n), 2)
@@ -95,7 +95,7 @@ def separation_suite(
     b = comparison.bundle
     tau = x_instance.topology
     return SeparationSuite(
-        i_separated=i_separated(x_instance),
+        i_separated=i_separated(x_instance, comparison.cuts),
         law_tau_separated=_two_topology_separated(tau, b.law),
         zar_tau_separated=_two_topology_separated(tau, b.zar),
         law_hausdorff=topo.separation_profile(b.law).t2,
@@ -132,7 +132,9 @@ def zar_hausdorff_witness(
 ) -> tuple[int, ...] | None:
     """A finite cover of the carrier by closed subsemigroups no member of
     which contains both x and y, or None.  Smallest cover first, ties broken
-    lexicographically by bitmask."""
+    lexicographically by bitmask.  When all the candidates together miss a
+    point there is no cover, and no combination is tried;
+    oracles.zar_hausdorff_witness_by_combinations tries them all."""
     if x == y:
         raise ValueError("witness needs two distinct points")
     full = full_mask(x_instance.n)
@@ -141,6 +143,11 @@ def zar_hausdorff_witness(
         for f in tsl.enumerate_subsemigroups(x_instance, closed_only=True)
         if f and not (f >> x & 1 and f >> y & 1)
     ]
+    union = 0
+    for f in closed_subs:
+        union |= f
+    if union != full:
+        return None
     for r in range(1, len(closed_subs) + 1):
         for combo in itertools.combinations(closed_subs, r):
             cover = 0

@@ -19,7 +19,7 @@ import itertools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import props, topo, tsl, weak
@@ -106,25 +106,34 @@ def enumerate_topologies(n: int) -> list[topo.FiniteTopology]:
     return tops
 
 
-def enumerate_semilattices(n: int) -> list[FiniteSemilattice]:
-    """All labeled semilattice tables, via posets in which every pair has a
-    greatest lower bound; sorted ascending by flattened table."""
+def _semilattice_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """All labeled semilattice tables as raw tuples, via the partial orders
+    (as row tuples) in which every pair has a greatest lower bound; sorted
+    ascending."""
     out = []
-    for poset in enumerate_posets(n):
+    rng = range(n)
+    for up in _enumerate_reflexive_transitive(n, True):
+        downs = [0] * n
+        for x in rng:
+            for y in bits(up[x]):
+                downs[y] |= 1 << x
         # x and y have a meet exactly when their common lower bounds form
         # the down-set of one point, and that point is the meet
-        downs = poset.downs
         point_of = {d: x for x, d in enumerate(downs)}
         try:
             table = tuple(
-                tuple(point_of[downs[x] & downs[y]] for y in range(n))
-                for x in range(n)
+                tuple(point_of[downs[x] & downs[y]] for y in rng) for x in rng
             )
         except KeyError:
             continue
-        out.append(FiniteSemilattice(n, table))
-    out.sort(key=lambda sl: sl.table)
+        out.append(table)
+    out.sort()
     return out
+
+
+def enumerate_semilattices(n: int) -> list[FiniteSemilattice]:
+    """All labeled semilattice tables, sorted ascending by flattened table."""
+    return [FiniteSemilattice(n, table) for table in _semilattice_tables(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -923,26 +932,32 @@ def semilattice_classes(n: int) -> list[tuple[FiniteSemilattice, tuple]]:
     """One semilattice per isomorphism class on n points, with its
     automorphism group (the permutations that fix its table).  The
     representative is the first labeled table of its class in
-    enumerate_semilattices order; its class has n!/|Aut| labeled tables."""
+    enumerate_semilattices order; its class has n!/|Aut| labeled tables.
+    Classes are found on the raw tables, and only a representative is
+    built (and so validated) as a FiniteSemilattice;
+    oracles.semilattice_classes_by_semilattices walks the built ones."""
     perms = list(itertools.permutations(range(n)))
     seen = set()
     out = []
-    for sl in enumerate_semilattices(n):
-        if sl.table in seen:
+    for table in _semilattice_tables(n):
+        if table in seen:
             continue
         aut = []
         for perm in perms:
-            image = _permute_table(sl.table, perm)
+            image = _permute_table(table, perm)
             seen.add(image)
-            if image == sl.table:
+            if image == table:
                 aut.append(perm)
-        out.append((sl, tuple(aut)))
+        out.append((FiniteSemilattice(n, table), tuple(aut)))
     return out
 
 
-def instance_classes(n_max: int) -> list[tuple[tsl.TopologizedSemigroup, int]]:
+def instance_classes(
+    n_max: int, semilattices: Optional[dict] = None
+) -> list[tuple[tsl.TopologizedSemigroup, int]]:
     """One instance per isomorphism class up to n_max, in sweep order, with
-    the size of its labeled orbit.
+    the size of its labeled orbit.  semilattices maps each n to
+    semilattice_classes(n), when the caller has them.
 
     Over each semilattice representative S the topologies fall into orbits
     of Aut(S); the first topology of an orbit in enumerate_topologies order
@@ -952,7 +967,8 @@ def instance_classes(n_max: int) -> list[tuple[tsl.TopologizedSemigroup, int]]:
     out = []
     for n in range(1, n_max + 1):
         tops = enumerate_topologies(n)
-        for sl, aut in semilattice_classes(n):
+        sls = semilattice_classes(n) if semilattices is None else semilattices[n]
+        for sl, aut in sls:
             tables = math.factorial(n) // len(aut)
             seen = set()
             for top in tops:
@@ -1012,13 +1028,16 @@ def _evaluate_instance(
     memo: SweepMemo,
     weight: int,
     sub_reports: Optional[dict] = None,
+    stats: Optional[dict] = None,
 ) -> dict:
     """Every selected per-instance and sub rule on inst, each counted weight
     times: inst stands for its labeled orbit of that size.  The details of a
     per-table rule are decided once per table and named with each class that
-    has them.  sub_reports is the sub phase's memo for inst's table; a call
-    without one starts its own."""
-    stats = {}
+    has them.  sub_reports is the sub phase's memo for inst's table, and
+    stats the tallies (rule id -> RuleStats) to add to; a call without them
+    starts its own.  Returns stats."""
+    if stats is None:
+        stats = {}
     inst = memo.instance(inst)
     comp = memo.comparison(inst)
     pv = props.property_vector(inst, comp).as_dict()
@@ -1027,16 +1046,21 @@ def _evaluate_instance(
     for rule in PER_INSTANCE_RULES:
         if not _want(rule_ids, rule.id):
             continue
-        s = stats.setdefault(rule.id, RuleStats())
-        if all(pv[h] for h in rule.hypotheses):
+        s = stats.get(rule.id)
+        if s is None:
+            s = stats[rule.id] = RuleStats()
+        for h in rule.hypotheses:
+            if not pv[h]:
+                s.vacuous += weight
+                break
+        else:
             s.applied += weight
             if rule.per_table:
                 details = derived(inst.algebra, rule.check)
             else:
                 details = rule.check(ctx)
-            s.violations.extend(f"{_where(inst, weight)} :: {d}" for d in details)
-        else:
-            s.vacuous += weight
+            if details:
+                s.violations.extend(f"{_where(inst, weight)} :: {d}" for d in details)
     if any(_want(rule_ids, rid) for rid in SUB_RULE_IDS):
         reports = {} if sub_reports is None else sub_reports
         _evaluate_sub_rules(inst, comp, pv, stats, rule_ids, memo, weight, reports)
@@ -1049,7 +1073,9 @@ def _tally(stats, rule_ids, rule_id, verdict, weight, violations) -> None:
     verdict is false."""
     if not _want(rule_ids, rule_id):
         return
-    s = stats.setdefault(rule_id, RuleStats())
+    s = stats.get(rule_id)
+    if s is None:
+        s = stats[rule_id] = RuleStats()
     if verdict is None:
         s.vacuous += weight
         return
@@ -1104,7 +1130,10 @@ def _evaluate_sub_rules(inst, comp, pv, stats, rule_ids, memo, weight, reports) 
         _tally(stats, rule_ids, rule_id, not lost if applied else None, count, lines)
 
 
+# the clause each of HOM_RULE_IDS audits, as the audit's details end
 _CLAUSES = ("continuity", "openness", "closedness", "embedding")
+# the violation line of each of PRODUCT_RULE_IDS
+_PRODUCT_LINES = ("product loses the property",) * 3 + ("zar/weak do not factorize",)
 
 
 def _hom_phase(classes, rule_ids, stats, memo) -> None:
@@ -1122,13 +1151,20 @@ def _hom_phase(classes, rule_ids, stats, memo) -> None:
             if not tsl.is_continuous(a.topology, b.topology, mapping):
                 continue
             audit = _audit_hom(a, b, derived3[ia], derived3[ib], mapping, subtop[ib])
-            where = (
-                f"hom {mapping} from [{_describe(a)} orbit={wa}] "
-                f"to [{_describe(b)} orbit={wb}]"
+            verdicts = (
+                audit.weak_continuity,
+                audit.law_openness,
+                audit.zar_closedness,
+                audit.zar_embedding,
             )
-            # HOM_RULE_IDS are in the order of the audit's fields
-            for rule_id, verdict, clause in zip(HOM_RULE_IDS, astuple(audit), _CLAUSES):
-                lines = [f"{where} :: {d}" for d in audit.details if d.endswith(clause)]
+            for rule_id, verdict, clause in zip(HOM_RULE_IDS, verdicts, _CLAUSES):
+                lines = []
+                if verdict is False:
+                    where = (
+                        f"hom {mapping} from [{_describe(a)} orbit={wa}] "
+                        f"to [{_describe(b)} orbit={wb}]"
+                    )
+                    lines = [f"{where} :: {d}" for d in audit.details if d.endswith(clause)]
                 _tally(stats, rule_ids, rule_id, verdict, wa * wb, lines)
 
 
@@ -1147,12 +1183,18 @@ def _product_phase(classes, rule_ids, stats, memo) -> None:
         ok = factors_ok[ia] and factors_ok[ib]
         audit = _audit_product(comps[ia], comps[ib], comp_p, ok)
         weight = wa * (wa + 1) // 2 if ia == ib else wa * wb
-        where = f"product of [{_describe(a)} orbit={wa}] and [{_describe(b)} orbit={wb}]"
-        lost = f"{where} :: product loses the property"
-        lines = (lost, lost, lost, f"{where} :: zar/weak do not factorize")
-        # PRODUCT_RULE_IDS are in the order of the audit's fields
-        for rule_id, verdict, line in zip(PRODUCT_RULE_IDS, astuple(audit), lines):
-            _tally(stats, rule_ids, rule_id, verdict, weight, [line])
+        verdicts = (
+            audit.weak_circ_preserved,
+            audit.weak_bullet_preserved,
+            audit.i_weak_preserved,
+            audit.zar_factorizes,
+        )
+        for rule_id, verdict, lost in zip(PRODUCT_RULE_IDS, verdicts, _PRODUCT_LINES):
+            lines = []
+            if verdict is False:
+                where = f"product of [{_describe(a)} orbit={wa}] and [{_describe(b)} orbit={wb}]"
+                lines = [f"{where} :: {lost}"]
+            _tally(stats, rule_ids, rule_id, verdict, weight, lines)
 
 
 def _main_conditions(inst, comp) -> tuple:
@@ -1170,22 +1212,22 @@ def _main_conditions(inst, comp) -> tuple:
         topo.separation_profile(b.lawson).t2,
         props._two_topology_separated(inst.topology, b.law),
         props._two_topology_separated(inst.topology, b.zar),
-        props.i_separated(inst),
+        props.i_separated(inst, comp.cuts),
         uvw.is_w,
         uvw.is_u,
         uvw.is_v,
     )
 
 
-def _main_phase(n_max: int, stats, memo) -> None:
+def _main_phase(semilattices: dict, stats, memo) -> None:
     """Fifteen-way equivalence on finite discrete instances, which are
-    exactly the compact Hausdorff ones, with n <= max(n_max, 4).  Every
-    permutation fixes the discrete topology, so each semilattice class
-    counts n!/|Aut(S)| times."""
+    exactly the compact Hausdorff ones, over the semilattice classes of each
+    n that semilattices maps to semilattice_classes(n).  Every permutation
+    fixes the discrete topology, so each class counts n!/|Aut(S)| times."""
     s = stats.setdefault(MAIN_RULE_ID, RuleStats())
-    for n in range(1, max(n_max, 4) + 1):
+    for n, sls in semilattices.items():
         disc = topo.discrete(n)
-        for sl, aut in semilattice_classes(n):
+        for sl, aut in sls:
             inst = memo.instance(tsl.TopologizedSemigroup(sl, disc))
             comp = memo.comparison(inst)
             weight = math.factorial(n) // len(aut)
@@ -1227,7 +1269,9 @@ def sweep(
         unknown = rule_ids - set(ALL_RULE_IDS)
         if unknown:
             raise ValueError(f"unknown rule ids: {sorted(unknown)}")
-    classes = instance_classes(n_max)
+    # the main phase audits the discrete classes with n <= max(n_max, 4)
+    semilattices = {n: semilattice_classes(n) for n in range(1, max(n_max, 4) + 1)}
+    classes = instance_classes(n_max, semilattices)
     stats: dict = {}
     memo = SweepMemo()
 
@@ -1239,9 +1283,7 @@ def sweep(
             # that table's sub reports when it moves on
             if inst.algebra != table:
                 table, sub_reports = inst.algebra, {}
-            stats = _evaluate_instance(inst, rule_ids, memo, weight, sub_reports)
-            for rule_id, rs in stats.items():
-                partial.setdefault(rule_id, RuleStats()).merge(rs)
+            _evaluate_instance(inst, rule_ids, memo, weight, sub_reports, partial)
         return partial
 
     if not any(_want(rule_ids, rid) for rid in INSTANCE_RULE_IDS):
@@ -1261,7 +1303,7 @@ def sweep(
     if any(_want(rule_ids, rid) for rid in PRODUCT_RULE_IDS):
         _product_phase(small, rule_ids, stats, memo)
     if _want(rule_ids, MAIN_RULE_ID):
-        _main_phase(n_max, stats, memo)
+        _main_phase(semilattices, stats, memo)
     return SweepReport(n_max, sum(weight for _, weight in classes), stats)
 
 

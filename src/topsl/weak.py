@@ -9,7 +9,9 @@ the natural order.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import topo, tsl
 from .core import (
@@ -63,10 +65,16 @@ def multiplicative_cuts(x_instance: tsl.TopologizedSemigroup) -> list[int]:
     ]
 
 
-def weak_topology(x_instance: tsl.TopologizedSemigroup) -> topo.FiniteTopology:
-    """Initial topology of all continuous homomorphisms into the min-interval."""
+def weak_topology(
+    x_instance: tsl.TopologizedSemigroup, cuts: Sequence[int] | None = None
+) -> topo.FiniteTopology:
+    """Initial topology of all continuous homomorphisms into the min-interval,
+    generated by the multiplicative cuts and their complements; cuts are the
+    instance's multiplicative_cuts, when the caller has them."""
+    if cuts is None:
+        cuts = multiplicative_cuts(x_instance)
     full = full_mask(x_instance.n)
-    subbase = [c for s in multiplicative_cuts(x_instance) for c in (s, full ^ s)]
+    subbase = [c for s in cuts for c in (s, full ^ s)]
     return topo.generate_topology(x_instance.n, subbase)
 
 
@@ -118,10 +126,17 @@ class TopologyBundle:
 @dataclass(frozen=True)
 class ComparisonReport:
     bundle: TopologyBundle
-    inclusion: tuple[tuple[bool, ...], ...]  # inclusion[i][j]: family i within j
+    cuts: tuple[int, ...]  # multiplicative_cuts of the instance
     weak_circ: bool
     weak_bullet: bool
     i_weak: bool
+
+    @functools.cached_property
+    def inclusion(self) -> tuple[tuple[bool, ...], ...]:
+        """inclusion[i][j]: family i within family j, in TOPOLOGY_NAMES
+        order; built on first read (topsl check reads it, a sweep never)."""
+        tops = [getattr(self.bundle, name) for name in TOPOLOGY_NAMES]
+        return tuple(tuple(family_within(a, b) for b in tops) for a in tops)
 
 
 def family_within(a: topo.FiniteTopology, b: topo.FiniteTopology) -> bool:
@@ -138,18 +153,15 @@ def topology_comparison(x_instance: tsl.TopologizedSemigroup) -> ComparisonRepor
     # the order topologies depend on the semilattice alone: they are derived
     # once per poset object and shared by every topology paired with it
     poset = derived(alg, natural_order)
+    cuts = multiplicative_cuts(x_instance)
     bundle = TopologyBundle(
         tau=x_instance.topology,
         law=law_topology(x_instance),
         zar=zar_topology(x_instance),
-        weak=weak_topology(x_instance),
+        weak=weak_topology(x_instance, cuts),
         scott=derived(poset, scott_topology),
         lawson=derived(poset, lawson_topology),
         interval=derived(poset, interval_topology),
-    )
-    tops = [getattr(bundle, name) for name in TOPOLOGY_NAMES]
-    inclusion = tuple(
-        tuple(family_within(a, b) for b in tops) for a in tops
     )
     for weaker, stronger in (
         ("weak", "law"),
@@ -159,13 +171,11 @@ def topology_comparison(x_instance: tsl.TopologizedSemigroup) -> ComparisonRepor
         ("interval", "lawson"),
         ("scott", "lawson"),
     ):
-        i = TOPOLOGY_NAMES.index(weaker)
-        j = TOPOLOGY_NAMES.index(stronger)
-        if not inclusion[i][j]:
+        if not family_within(getattr(bundle, weaker), getattr(bundle, stronger)):
             raise AssertionError(f"structural inclusion {weaker} within {stronger} failed")
     return ComparisonReport(
         bundle=bundle,
-        inclusion=inclusion,
+        cuts=tuple(cuts),
         weak_circ=bundle.law == bundle.tau,
         weak_bullet=bundle.zar == bundle.tau,
         i_weak=bundle.weak == bundle.tau,

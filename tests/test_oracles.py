@@ -235,14 +235,30 @@ def test_backtracking_enumeration_matches_product_filter():
     assert counts[5, True] == 4231  # partial orders
 
 
+@functools.cache
+def _witness_cases():
+    """Every instance with n <= 3 and every isomorphism class with n = 4."""
+    return verify.universe(3) + [x for x, _ in verify.instance_classes(4) if x.n == 4]
+
+
 def test_law_hausdorff_witness_matches_opens_route():
-    cases = verify.universe(3) + [x for x, _ in verify.instance_classes(4) if x.n == 4]
+    cases = _witness_cases()
     assert len(cases) == 270 + 1203
     for x in cases:
         for a, b in itertools.permutations(range(x.n), 2):
             assert props.law_hausdorff_witness(
                 x, a, b
             ) == oracles.law_hausdorff_witness_by_opens(x, a, b)
+
+
+def test_zar_hausdorff_witness_matches_combination_search():
+    found = {True: 0, False: 0}
+    for x in _witness_cases():
+        for a, b in itertools.permutations(range(x.n), 2):
+            witness = props.zar_hausdorff_witness(x, a, b)
+            assert witness == oracles.zar_hausdorff_witness_by_combinations(x, a, b)
+            found[witness is None] += 1
+    assert found[True] and found[False]
 
 
 def _non_commutative_semigroups(n_max):
@@ -268,6 +284,39 @@ def test_continuity_fast_paths_on_non_commutative_semigroups():
                 x
             ) == oracles.translations_continuous_by_preimages(x)
             assert tsl.continuity_profile(x).subtopological == oracles.subtopological_by_scan(x)
+
+
+def _zero_band(n, side):
+    """x*y = x (left) or x*y = y (right) on n points."""
+    pick = (lambda x, y: x) if side == "left" else (lambda x, y: y)
+    return FiniteSemigroup.from_rows([[pick(x, y) for y in range(n)] for x in range(n)])
+
+
+def _with_identity(alg):
+    """alg with a new point n that is an identity."""
+    n = alg.n
+    rows = [list(row) + [x] for x, row in enumerate(alg.table)]
+    return FiniteSemigroup.from_rows(rows + [list(range(n + 1))])
+
+
+def test_translations_shortcut_is_taken_only_on_semilattices():
+    # bands whose left and right translations differ: the left- and
+    # right-zero bands, and the same with an identity adjoined, on which
+    # the left translations alone would misjudge some topologies
+    bands = [_zero_band(n, side) for n in (2, 3) for side in ("left", "right")]
+    bands += [_with_identity(alg) for alg in bands]
+    misjudged = 0
+    for alg in bands:
+        assert alg.is_band and not alg.is_semilattice
+        for top in verify.enumerate_topologies(alg.n):
+            x = tsl.TopologizedSemigroup(alg, top)
+            expected = oracles.translations_continuous_by_preimages(x)
+            assert tsl.translations_continuous(x) == expected
+            left = all(tsl.is_continuous(top, top, row) for row in alg.table)
+            misjudged += left != expected
+    assert misjudged
+    for x in verify.universe(3):
+        assert tsl.translations_continuous(x) == oracles.translations_continuous_by_preimages(x)
 
 
 def test_is_continuous_matches_preimages_on_all_small_maps():

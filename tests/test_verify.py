@@ -158,6 +158,16 @@ def test_sweep_computes_each_bundle_once_per_call(monkeypatch):
     assert counts == first
 
 
+def test_sweep_never_reads_the_inclusion_matrix(monkeypatch):
+    # only topsl check reports the 7x7 matrix, so no sweep builds it
+    def unread(comp):
+        raise AssertionError("the sweep read ComparisonReport.inclusion")
+
+    monkeypatch.setattr(weak.ComparisonReport, "inclusion", property(unread))
+    golden = pathlib.Path(__file__).parent / "data" / "sweep3.txt"
+    assert verify.sweep(3).render() == golden.read_text(encoding="ascii")
+
+
 def test_class_weights_sum_to_labeled_counts():
     totals = {}
     for x, weight in verify.instance_classes(4):
@@ -352,6 +362,13 @@ def test_properties_are_relabeling_invariant(data):
 def test_semilattice_enumeration_matches_bound_route():
     for n in (1, 2, 3, 4, 5):
         assert verify.enumerate_semilattices(n) == oracles.enumerate_semilattices_by_bounds(n)
+
+
+def test_semilattice_classes_match_the_route_through_built_semilattices():
+    for n in (1, 2, 3, 4, 5):
+        classes = verify.semilattice_classes(n)
+        assert classes == oracles.semilattice_classes_by_semilattices(n)
+        assert all(type(sl) is FiniteSemilattice for sl, _ in classes)
 
 
 def test_meet_continuity_matches_scan():
