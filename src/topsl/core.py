@@ -159,8 +159,9 @@ class FiniteSemigroup:
     def is_band(self) -> bool:
         return all(self.table[x][x] == x for x in range(self.n))
 
-    @property
+    @functools.cached_property
     def is_commutative(self) -> bool:
+        """Computed once per algebra object and kept on it."""
         return all(
             self.table[x][y] == self.table[y][x]
             for x in range(self.n)

@@ -93,11 +93,11 @@ class ContinuityProfile:
 def translations_continuous(x_instance: TopologizedSemigroup) -> bool:
     """Whether every translation x -> a*x and x -> x*a is continuous, each
     decided from the minimal neighbourhoods by is_continuous.  On a
-    semilattice x*a = a*x, so the left translations are all of them.
+    commutative table x*a = a*x, so the left translations are all of them.
     oracles.translations_continuous_by_preimages tests every preimage."""
     alg, top = x_instance.algebra, x_instance.topology
     t, rng = alg.table, range(alg.n)
-    if alg.is_semilattice:
+    if alg.is_commutative:
         return all(is_continuous(top, top, t[a]) for a in rng)
     return all(
         is_continuous(top, top, t[a])

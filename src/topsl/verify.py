@@ -952,12 +952,9 @@ def semilattice_classes(n: int) -> list[tuple[FiniteSemilattice, tuple]]:
     return out
 
 
-def instance_classes(
-    n_max: int, semilattices: Optional[dict] = None
-) -> list[tuple[tsl.TopologizedSemigroup, int]]:
+def instance_classes(n_max: int) -> list[tuple[tsl.TopologizedSemigroup, int]]:
     """One instance per isomorphism class up to n_max, in sweep order, with
-    the size of its labeled orbit.  semilattices maps each n to
-    semilattice_classes(n), when the caller has them.
+    the size of its labeled orbit.
 
     Over each semilattice representative S the topologies fall into orbits
     of Aut(S); the first topology of an orbit in enumerate_topologies order
@@ -967,8 +964,7 @@ def instance_classes(
     out = []
     for n in range(1, n_max + 1):
         tops = enumerate_topologies(n)
-        sls = semilattice_classes(n) if semilattices is None else semilattices[n]
-        for sl, aut in sls:
+        for sl, aut in semilattice_classes(n):
             tables = math.factorial(n) // len(aut)
             seen = set()
             for top in tops:
@@ -1027,17 +1023,15 @@ def _evaluate_instance(
     rule_ids,
     memo: SweepMemo,
     weight: int,
+    stats: dict,
     sub_reports: Optional[dict] = None,
-    stats: Optional[dict] = None,
 ) -> dict:
     """Every selected per-instance and sub rule on inst, each counted weight
     times: inst stands for its labeled orbit of that size.  The details of a
     per-table rule are decided once per table and named with each class that
-    has them.  sub_reports is the sub phase's memo for inst's table, and
-    stats the tallies (rule id -> RuleStats) to add to; a call without them
-    starts its own.  Returns stats."""
-    if stats is None:
-        stats = {}
+    has them.  stats holds the tallies (rule id -> RuleStats) to add to, and
+    is returned.  sub_reports is the sub phase's memo for inst's table; a
+    call without one starts its own."""
     inst = memo.instance(inst)
     comp = memo.comparison(inst)
     pv = props.property_vector(inst, comp).as_dict()
@@ -1219,15 +1213,15 @@ def _main_conditions(inst, comp) -> tuple:
     )
 
 
-def _main_phase(semilattices: dict, stats, memo) -> None:
+def _main_phase(n_max: int, stats, memo) -> None:
     """Fifteen-way equivalence on finite discrete instances, which are
-    exactly the compact Hausdorff ones, over the semilattice classes of each
-    n that semilattices maps to semilattice_classes(n).  Every permutation
-    fixes the discrete topology, so each class counts n!/|Aut(S)| times."""
+    exactly the compact Hausdorff ones, with n <= max(n_max, 4).  Every
+    permutation fixes the discrete topology, so each semilattice class
+    counts n!/|Aut(S)| times."""
     s = stats.setdefault(MAIN_RULE_ID, RuleStats())
-    for n, sls in semilattices.items():
+    for n in range(1, max(n_max, 4) + 1):
         disc = topo.discrete(n)
-        for sl, aut in sls:
+        for sl, aut in semilattice_classes(n):
             inst = memo.instance(tsl.TopologizedSemigroup(sl, disc))
             comp = memo.comparison(inst)
             weight = math.factorial(n) // len(aut)
@@ -1269,9 +1263,7 @@ def sweep(
         unknown = rule_ids - set(ALL_RULE_IDS)
         if unknown:
             raise ValueError(f"unknown rule ids: {sorted(unknown)}")
-    # the main phase audits the discrete classes with n <= max(n_max, 4)
-    semilattices = {n: semilattice_classes(n) for n in range(1, max(n_max, 4) + 1)}
-    classes = instance_classes(n_max, semilattices)
+    classes = instance_classes(n_max)
     stats: dict = {}
     memo = SweepMemo()
 
@@ -1283,7 +1275,7 @@ def sweep(
             # that table's sub reports when it moves on
             if inst.algebra != table:
                 table, sub_reports = inst.algebra, {}
-            _evaluate_instance(inst, rule_ids, memo, weight, sub_reports, partial)
+            _evaluate_instance(inst, rule_ids, memo, weight, partial, sub_reports)
         return partial
 
     if not any(_want(rule_ids, rid) for rid in INSTANCE_RULE_IDS):
@@ -1303,7 +1295,7 @@ def sweep(
     if any(_want(rule_ids, rid) for rid in PRODUCT_RULE_IDS):
         _product_phase(small, rule_ids, stats, memo)
     if _want(rule_ids, MAIN_RULE_ID):
-        _main_phase(semilattices, stats, memo)
+        _main_phase(n_max, stats, memo)
     return SweepReport(n_max, sum(weight for _, weight in classes), stats)
 
 

@@ -299,7 +299,11 @@ def _with_identity(alg):
     return FiniteSemigroup.from_rows(rows + [list(range(n + 1))])
 
 
-def test_translations_shortcut_is_taken_only_on_semilattices():
+def _cyclic_group(n):
+    return FiniteSemigroup.from_rows([[(x + y) % n for y in range(n)] for x in range(n)])
+
+
+def test_translations_shortcut_is_taken_only_on_commutative_tables():
     # bands whose left and right translations differ: the left- and
     # right-zero bands, and the same with an identity adjoined, on which
     # the left translations alone would misjudge some topologies
@@ -307,7 +311,7 @@ def test_translations_shortcut_is_taken_only_on_semilattices():
     bands += [_with_identity(alg) for alg in bands]
     misjudged = 0
     for alg in bands:
-        assert alg.is_band and not alg.is_semilattice
+        assert alg.is_band and not alg.is_commutative
         for top in verify.enumerate_topologies(alg.n):
             x = tsl.TopologizedSemigroup(alg, top)
             expected = oracles.translations_continuous_by_preimages(x)
@@ -315,6 +319,12 @@ def test_translations_shortcut_is_taken_only_on_semilattices():
             left = all(tsl.is_continuous(top, top, row) for row in alg.table)
             misjudged += left != expected
     assert misjudged
+    # commutative tables that are not semilattices take the shortcut too
+    for alg in (_cyclic_group(2), _cyclic_group(3), _with_identity(_cyclic_group(3))):
+        assert alg.is_commutative and not alg.is_semilattice
+        for top in verify.enumerate_topologies(alg.n):
+            x = tsl.TopologizedSemigroup(alg, top)
+            assert tsl.translations_continuous(x) == oracles.translations_continuous_by_preimages(x)
     for x in verify.universe(3):
         assert tsl.translations_continuous(x) == oracles.translations_continuous_by_preimages(x)
 

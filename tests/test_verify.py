@@ -203,7 +203,7 @@ def test_class_sweep_counts_match_labeled_oracle():
     memo = verify.SweepMemo()
     labeled = {}
     for x in verify.universe(3):
-        for rule_id, rs in verify._evaluate_instance(x, None, memo, weight=1).items():
+        for rule_id, rs in verify._evaluate_instance(x, None, memo, 1, {}).items():
             labeled.setdefault(rule_id, verify.RuleStats()).merge(rs)
     report = verify.sweep(3)
     assert set(labeled) == set(verify.INSTANCE_RULE_IDS)
