@@ -13,7 +13,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import props, topo, tsl, verify, weak
 from .core import (
@@ -43,8 +43,7 @@ class InstanceFormatError(ValueError):
     """The instance document violates the file format or its invariants."""
 
 
-@dataclass(frozen=True)
-class InstanceDocument:
+class InstanceDocument(NamedTuple):
     schema_version: int
     elements: tuple[str, ...]
     table: tuple[tuple[str, ...], ...]
@@ -421,9 +420,7 @@ def _cmd_search(args) -> int:
     if record is None:
         print(f"exhausted up to n_max={args.n_max}")
     else:
-        from dataclasses import asdict
-
-        print(json.dumps(asdict(record), indent=2))
+        print(json.dumps(record._asdict(), indent=2))
     return 0
 
 

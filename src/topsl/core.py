@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 class MalformedTableError(ValueError):
@@ -80,6 +79,34 @@ def derived(value, fn):
     return memo[fn]
 
 
+class Frozen:
+    """An immutable value.  Its constructor checks its arguments, then puts
+    each field, named in the class's _fields, and their tuple _key into the
+    instance __dict__ at once.  Equality (between objects of the same class
+    only) and hashing read _key.  Setting an attribute raises AttributeError,
+    while the __dict__ still holds what derived and cached_property keep."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._key))
+        return f"{type(self).__qualname__}({fields})"
+
+
 def subsets(n: int) -> range:
     """All bitmasks over 0..n-1, ascending (2**n of them)."""
     return range(1 << n)
@@ -134,19 +161,20 @@ def verify_semilattice(table) -> list[tuple[str, tuple[int, ...]]]:
     return failures
 
 
-@dataclass(frozen=True)
-class FiniteSemigroup:
+class FiniteSemigroup(Frozen):
     """An associative operation table over the carrier 0..n-1."""
 
+    _fields = ("n", "table")
     n: int
     table: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if self.n != len(self.table):
+    def __init__(self, n: int, table: tuple[tuple[int, ...], ...]):
+        if n != len(table):
             raise MalformedTableError("carrier size does not match table")
-        bad = verify_semigroup(self.table)
+        bad = verify_semigroup(table)
         if bad:
             raise MalformedTableError(f"operation is not associative, e.g. at {bad[0]}")
+        self.__dict__.update(n=n, table=table, _key=(n, table))
 
     @classmethod
     def from_rows(cls, rows) -> "FiniteSemigroup":
@@ -177,9 +205,9 @@ class FiniteSemigroup:
 class FiniteSemilattice(FiniteSemigroup):
     """A commutative idempotent (associative) operation table."""
 
-    def __post_init__(self):
-        super().__post_init__()  # associativity
-        bad = _idempotent_commutative_failures(self.table)
+    def __init__(self, n: int, table: tuple[tuple[int, ...], ...]):
+        super().__init__(n, table)  # associativity
+        bad = _idempotent_commutative_failures(table)
         if bad:
             law, witness = bad[0]
             raise NotASemilatticeError(f"{law} law fails at {witness}")
@@ -188,16 +216,15 @@ class FiniteSemilattice(FiniteSemigroup):
         return self.table[x][y]
 
 
-@dataclass(frozen=True)
-class FinitePoset:
+class FinitePoset(Frozen):
     """A partial order on 0..n-1; up[x] is the bitmask of {y : x <= y}.
     `downs[x]` (not a field) is the bitmask of {z : z <= x}."""
 
+    _fields = ("n", "up")
     n: int
     up: tuple[int, ...]
 
-    def __post_init__(self):
-        n, up = self.n, self.up
+    def __init__(self, n: int, up: tuple[int, ...]):
         if len(up) != n:
             raise ValueError("relation size does not match carrier")
         full = full_mask(n)
@@ -216,7 +243,7 @@ class FinitePoset:
         for x in range(n):
             for y in bits(up[x]):
                 downs[y] |= 1 << x
-        object.__setattr__(self, "downs", tuple(downs))
+        self.__dict__.update(n=n, up=up, _key=(n, up), downs=tuple(downs))
 
     def leq(self, x: int, y: int) -> bool:
         return bool(self.up[x] >> y & 1)

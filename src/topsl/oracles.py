@@ -7,7 +7,7 @@ its oracle here."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import cli, props, topo, tsl, verify
 from .core import (
@@ -25,8 +25,7 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class ChainFlags:
+class ChainFlags(NamedTuple):
     is_chain: bool
     is_up_directed: bool
     is_down_directed: bool
@@ -521,8 +520,7 @@ def family_within_by_opens(a: topo.FiniteTopology, b: topo.FiniteTopology) -> bo
     return set(a.opens) <= set(b.opens)
 
 
-@dataclass(frozen=True)
-class CenteredReport:
+class CenteredReport(NamedTuple):
     is_centered: bool
     total_intersection: int
 

@@ -4,7 +4,7 @@ topologized semilattice, assembled into one property vector per instance."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from . import topo, tsl, weak
 from .core import (
@@ -17,8 +17,7 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class UVWProfile:
+class UVWProfile(NamedTuple):
     is_u: bool
     is_w: bool
     is_v: bool
@@ -48,8 +47,7 @@ def uvw_profile(x_instance: tsl.TopologizedSemigroup) -> UVWProfile:
     return UVWProfile(is_u, True, is_v)
 
 
-@dataclass(frozen=True)
-class SeparationSuite:
+class SeparationSuite(NamedTuple):
     i_separated: bool
     law_tau_separated: bool
     zar_tau_separated: bool
@@ -180,8 +178,7 @@ def zar_compact_centered(x_instance: tsl.TopologizedSemigroup) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PropertyVector:
+class PropertyVector(NamedTuple):
     is_u: bool
     is_w: bool
     is_v: bool
@@ -211,10 +208,10 @@ class PropertyVector:
     down_chain_compact: bool
 
     def as_dict(self) -> dict[str, bool]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return self._asdict()
 
 
-PROPERTY_NAMES = tuple(f.name for f in fields(PropertyVector))
+PROPERTY_NAMES = PropertyVector._fields
 
 
 def property_vector(
@@ -227,37 +224,18 @@ def property_vector(
         raise NotASemilatticeError("property vector needs a semilattice")
     if comparison is None:
         comparison = weak.topology_comparison(x_instance)
-    uvw = uvw_profile(x_instance)
-    suite = separation_suite(x_instance, comparison)
-    sep = topo.separation_profile(x_instance.topology)
-    cont = tsl.continuity_profile(x_instance)
-    order = tsl.order_profile(x_instance)
+    # each profile's fields are the vector's, in the vector's order
     return PropertyVector(
-        is_u=uvw.is_u,
-        is_w=uvw.is_w,
-        is_v=uvw.is_v,
-        i_separated=suite.i_separated,
-        law_tau_separated=suite.law_tau_separated,
-        zar_tau_separated=suite.zar_tau_separated,
-        law_hausdorff=suite.law_hausdorff,
-        zar_hausdorff=suite.zar_hausdorff,
-        weak_hausdorff=suite.weak_hausdorff,
-        weak_circ=comparison.weak_circ,
-        weak_bullet=comparison.weak_bullet,
-        i_weak=comparison.i_weak,
-        meet_continuous=derived(alg, is_meet_continuous),
-        linear=derived(alg, is_linear),
-        shift_homomorphic=True,  # a*x*a*y = a*a*x*y = a*x*y in a semilattice
-        zar_compact_centered=zar_compact_centered(x_instance),
-        t0=sep.t0,
-        t1=sep.t1,
-        t2=sep.t2,
-        discrete=sep.discrete,
-        topological=cont.topological,
-        semitopological=cont.semitopological,
-        subtopological=cont.subtopological,
-        updown_closed=order.updown_closed,
-        complete=order.complete,
-        chain_compact=order.chain_compact,
-        down_chain_compact=order.down_chain_compact,
+        *uvw_profile(x_instance),
+        *separation_suite(x_instance, comparison),
+        comparison.weak_circ,
+        comparison.weak_bullet,
+        comparison.i_weak,
+        derived(alg, is_meet_continuous),
+        derived(alg, is_linear),
+        True,  # shift_homomorphic: a*x*a*y = a*a*x*y = a*x*y in a semilattice
+        zar_compact_centered(x_instance),
+        *topo.separation_profile(x_instance.topology),
+        *tsl.continuity_profile(x_instance),
+        *tsl.order_profile(x_instance),
     )

@@ -15,10 +15,10 @@ and interior all work from `minimal`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
-from .core import bits, full_mask, mask_of
+from .core import Frozen, bits, full_mask, mask_of
 
 
 def _minimal(n: int, sets) -> tuple[int, ...]:
@@ -35,15 +35,14 @@ def _minimal(n: int, sets) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class FiniteTopology:
+class FiniteTopology(Frozen):
     """`minimal[x]` is M_x, the smallest open set containing x."""
 
+    _fields = ("n", "minimal")
     n: int
     minimal: tuple[int, ...]
 
-    def __post_init__(self):
-        n, minimal = self.n, self.minimal
+    def __init__(self, n: int, minimal: tuple[int, ...]):
         if len(minimal) != n:
             raise ValueError(f"{len(minimal)} minimal neighbourhoods for {n} points")
         full = full_mask(n)
@@ -58,6 +57,7 @@ class FiniteTopology:
                         f"minimal neighbourhoods are not a preorder: {y} lies in "
                         f"M_{x} = {m:#x} but M_{y} = {minimal[y]:#x} does not"
                     )
+        self.__dict__.update(n=n, minimal=minimal, _key=(n, minimal))
 
     @cached_property
     def _open_set(self) -> frozenset[int]:
@@ -162,8 +162,7 @@ def interior(top: FiniteTopology, s: int) -> int:
     return hull(top, s, "interior")
 
 
-@dataclass(frozen=True)
-class SeparationProfile:
+class SeparationProfile(NamedTuple):
     t0: bool
     t1: bool
     t2: bool

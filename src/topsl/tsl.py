@@ -3,12 +3,13 @@ predicates and subsemigroup enumeration."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import topo
 from .core import (
     FiniteSemigroup,
     FiniteSemilattice,
+    Frozen,
     NotASemilatticeError,
     bits,
     derived,
@@ -18,14 +19,16 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class TopologizedSemigroup:
+class TopologizedSemigroup(Frozen):
+    _fields = ("algebra", "topology")
     algebra: FiniteSemigroup
     topology: topo.FiniteTopology
 
-    def __post_init__(self):
-        if self.algebra.n != self.topology.n:
+    def __init__(self, algebra: FiniteSemigroup, topology: topo.FiniteTopology):
+        if algebra.n != topology.n:
             raise ValueError("algebra and topology carrier sizes differ")
+        key = (algebra, topology)
+        self.__dict__.update(algebra=algebra, topology=topology, _key=key)
 
     @property
     def n(self) -> int:
@@ -66,25 +69,28 @@ def is_continuous(
     )
 
 
-@dataclass(frozen=True)
-class ContinuousHom:
+class ContinuousHom(Frozen):
+    _fields = ("source", "target", "mapping")
     source: TopologizedSemigroup
     target: TopologizedSemigroup
     mapping: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.mapping) != self.source.n:
+    def __init__(
+        self, source: TopologizedSemigroup, target: TopologizedSemigroup, mapping
+    ):
+        if len(mapping) != source.n:
             raise ValueError("mapping length does not match source carrier")
-        if any(not 0 <= v < self.target.n for v in self.mapping):
+        if any(not 0 <= v < target.n for v in mapping):
             raise ValueError("mapping value out of target range")
-        if not is_homomorphism(self.source.algebra, self.target.algebra, self.mapping):
+        if not is_homomorphism(source.algebra, target.algebra, mapping):
             raise ValueError("mapping is not a homomorphism")
-        if not is_continuous(self.source.topology, self.target.topology, self.mapping):
+        if not is_continuous(source.topology, target.topology, mapping):
             raise ValueError("mapping is not continuous")
+        key = (source, target, mapping)
+        self.__dict__.update(source=source, target=target, mapping=mapping, _key=key)
 
 
-@dataclass(frozen=True)
-class ContinuityProfile:
+class ContinuityProfile(NamedTuple):
     topological: bool
     semitopological: bool
     subtopological: bool
@@ -146,8 +152,7 @@ def enumerate_subsemigroups(
     return [s for s in subs if not closed_only or top.is_closed(s)]
 
 
-@dataclass(frozen=True)
-class OrderProfile:
+class OrderProfile(NamedTuple):
     updown_closed: bool
     complete: bool
     chain_compact: bool

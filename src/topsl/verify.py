@@ -14,13 +14,11 @@ discrete-only phase.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+import threading
+from typing import Callable, NamedTuple, Optional
 
 from . import props, topo, tsl, weak
 from .core import (
@@ -183,6 +181,8 @@ def canonicalize(
 
 
 def canonical_hash(inst: tsl.TopologizedSemigroup) -> str:
+    import hashlib  # loads OpenSSL; only search and its callers need it
+
     canon, _ = canonicalize(inst)
     payload = {
         "n": canon.n,
@@ -275,8 +275,7 @@ def _describe(inst: tsl.TopologizedSemigroup) -> str:
 # audits
 
 
-@dataclass(frozen=True)
-class FunctorialAudit:
+class FunctorialAudit(NamedTuple):
     """How a continuous homomorphism behaves under the derived topologies.
 
     None marks a clause whose precondition does not hold for this map.
@@ -341,8 +340,7 @@ def functorial_audit(h: tsl.ContinuousHom) -> FunctorialAudit:
     return _audit_hom(src, tgt, da, db, h.mapping, subtop)
 
 
-@dataclass(frozen=True)
-class ProductAudit:
+class ProductAudit(NamedTuple):
     """Preservation of the derived-topology coincidence flags by a binary
     product.  None marks a flag not shared by both factors."""
 
@@ -390,8 +388,7 @@ def product_audit(
 # per-instance rules
 
 
-@dataclass
-class InstanceContext:
+class InstanceContext(NamedTuple):
     inst: tsl.TopologizedSemigroup
     poset: FinitePoset
     chains: tuple[int, ...]  # the maximal chains of poset
@@ -399,8 +396,7 @@ class InstanceContext:
     pv: dict
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """A rule's check takes an InstanceContext and returns the details of
     its violations.  A per_table rule reads only the semilattice table: its
     check takes the algebra and runs once per table (core.derived)."""
@@ -878,11 +874,15 @@ ALL_RULE_IDS = tuple(
 # the sweep
 
 
-@dataclass
 class RuleStats:
-    applied: int = 0
-    vacuous: int = 0
-    violations: list = field(default_factory=list)
+    def __init__(self, applied: int = 0, vacuous: int = 0, violations=None):
+        self.applied, self.vacuous = applied, vacuous
+        self.violations = [] if violations is None else violations
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def merge(self, other: "RuleStats") -> None:
         self.applied += other.applied
@@ -890,11 +890,11 @@ class RuleStats:
         self.violations.extend(other.violations)
 
 
-@dataclass
 class SweepReport:
-    n_max: int
-    instances_checked: int
-    rules: dict
+    def __init__(self, n_max: int, instances_checked: int, rules: dict):
+        self.n_max, self.instances_checked, self.rules = n_max, instances_checked, rules
+
+    __eq__ = RuleStats.__eq__
 
     @property
     def total_violations(self) -> int:
@@ -983,9 +983,11 @@ class SweepMemo:
     memo keeps for that table.
 
     Owned by one sweep() call and dropped when it returns.  The shards of a
-    threaded sweep share it; two threads that miss the same entry at once
-    both compute it, and the equal results make the race harmless.  The sub
-    phase's memo of one table is not here: each shard keeps its own.
+    threaded sweep share it.  Each table's classes lie in one shard, so what
+    is derived per table is decided once; two shards that miss the same
+    comparison at once (a sub-instance shared by two tables) both compute
+    it, and the equal results make the race harmless.  The sub phase's memo
+    of one table is not here: each shard keeps its own.
     """
 
     def __init__(self):
@@ -1145,13 +1147,8 @@ def _hom_phase(classes, rule_ids, stats, memo) -> None:
             if not tsl.is_continuous(a.topology, b.topology, mapping):
                 continue
             audit = _audit_hom(a, b, derived3[ia], derived3[ib], mapping, subtop[ib])
-            verdicts = (
-                audit.weak_continuity,
-                audit.law_openness,
-                audit.zar_closedness,
-                audit.zar_embedding,
-            )
-            for rule_id, verdict, clause in zip(HOM_RULE_IDS, verdicts, _CLAUSES):
+            # the audit's first four fields are the verdicts of HOM_RULE_IDS
+            for rule_id, verdict, clause in zip(HOM_RULE_IDS, audit, _CLAUSES):
                 lines = []
                 if verdict is False:
                     where = (
@@ -1177,13 +1174,8 @@ def _product_phase(classes, rule_ids, stats, memo) -> None:
         ok = factors_ok[ia] and factors_ok[ib]
         audit = _audit_product(comps[ia], comps[ib], comp_p, ok)
         weight = wa * (wa + 1) // 2 if ia == ib else wa * wb
-        verdicts = (
-            audit.weak_circ_preserved,
-            audit.weak_bullet_preserved,
-            audit.i_weak_preserved,
-            audit.zar_factorizes,
-        )
-        for rule_id, verdict, lost in zip(PRODUCT_RULE_IDS, verdicts, _PRODUCT_LINES):
+        # the audit's fields are the verdicts of PRODUCT_RULE_IDS
+        for rule_id, verdict, lost in zip(PRODUCT_RULE_IDS, audit, _PRODUCT_LINES):
             lines = []
             if verdict is False:
                 where = f"product of [{_describe(a)} orbit={wa}] and [{_describe(b)} orbit={wb}]"
@@ -1233,6 +1225,43 @@ def _main_phase(n_max: int, stats, memo) -> None:
                 )
 
 
+def _table_chunks(classes, parts: int) -> list:
+    """classes cut into at most `parts` contiguous runs, each cut at the
+    table boundary nearest to an equal split, so that every table's classes
+    (and what is derived once per table) lie in one run."""
+    tables = [x.algebra for x, _ in classes]
+    n = len(tables)
+    between = [i for i in range(1, n) if tables[i] != tables[i - 1]]
+    ends = {
+        min(between, key=lambda i: abs(i * parts - k * n), default=n)
+        for k in range(1, parts)
+    }
+    bounds = [0, *sorted(ends | {n})]
+    return [classes[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _run_threads(fn, args) -> list:
+    """[fn(a) for a in args], each call on its own thread.  The first error
+    in args order is raised once every thread has ended."""
+    results: list = [None] * len(args)
+
+    def run(k: int) -> None:
+        try:
+            results[k] = fn(args[k])
+        except BaseException as exc:  # raised again below, in the caller
+            results[k] = exc
+
+    workers = [threading.Thread(target=run, args=(k,)) for k in range(len(args))]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join()
+    for r in results:
+        if isinstance(r, BaseException):
+            raise r
+    return results
+
+
 def sweep(
     n_max: int,
     rule_ids=None,
@@ -1267,24 +1296,23 @@ def sweep(
     stats: dict = {}
     memo = SweepMemo()
 
-    def run_shard(k: int) -> dict:
+    def run_shard(chunk) -> dict:
         partial: dict = {}
         table, sub_reports = None, {}
-        for inst, weight in classes[k::threads]:
-            # a shard visits the classes of one table contiguously, and drops
-            # that table's sub reports when it moves on
+        for inst, weight in chunk:
+            # drop a table's sub reports on moving on to the next table
             if inst.algebra != table:
                 table, sub_reports = inst.algebra, {}
             _evaluate_instance(inst, rule_ids, memo, weight, partial, sub_reports)
         return partial
 
+    chunks = _table_chunks(classes, threads)
     if not any(_want(rule_ids, rid) for rid in INSTANCE_RULE_IDS):
         shards = []
-    elif threads == 1:
-        shards = [run_shard(0)]
+    elif len(chunks) == 1:
+        shards = [run_shard(chunks[0])]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            shards = list(pool.map(run_shard, range(threads)))
+        shards = _run_threads(run_shard, chunks)
     for partial in shards:
         for rule_id, rs in partial.items():
             stats.setdefault(rule_id, RuleStats()).merge(rs)
@@ -1303,8 +1331,7 @@ def sweep(
 # counterexample search
 
 
-@dataclass(frozen=True)
-class CounterexampleRecord:
+class CounterexampleRecord(NamedTuple):
     query: dict
     document: dict
     properties: dict
@@ -1356,10 +1383,8 @@ def search(
 
 
 def _append_record(path: str, record: CounterexampleRecord) -> None:
-    from dataclasses import asdict
-
     with open(path, "a", encoding="ascii") as fh:
-        fh.write(json.dumps(asdict(record), sort_keys=True) + "\n")
+        fh.write(json.dumps(record._asdict(), sort_keys=True) + "\n")
 
 
 def load_catalog(path: str) -> list[CounterexampleRecord]:

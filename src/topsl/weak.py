@@ -10,12 +10,12 @@ the natural order.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import topo, tsl
 from .core import (
     FinitePoset,
+    Frozen,
     NotASemilatticeError,
     derived,
     full_mask,
@@ -109,8 +109,7 @@ def interval_topology(poset: FinitePoset) -> topo.FiniteTopology:
     return derived(poset, lawson_topology)
 
 
-@dataclass(frozen=True)
-class TopologyBundle:
+class TopologyBundle(NamedTuple):
     tau: topo.FiniteTopology
     law: topo.FiniteTopology
     zar: topo.FiniteTopology
@@ -120,16 +119,20 @@ class TopologyBundle:
     interval: topo.FiniteTopology
 
     def as_dict(self) -> dict[str, topo.FiniteTopology]:
-        return {name: getattr(self, name) for name in TOPOLOGY_NAMES}
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(Frozen):
+    _fields = ("bundle", "cuts", "weak_circ", "weak_bullet", "i_weak")
     bundle: TopologyBundle
     cuts: tuple[int, ...]  # multiplicative_cuts of the instance
     weak_circ: bool
     weak_bullet: bool
     i_weak: bool
+
+    def __init__(self, bundle, cuts, weak_circ, weak_bullet, i_weak):
+        key = (bundle, cuts, weak_circ, weak_bullet, i_weak)
+        self.__dict__.update(zip(self._fields, key), _key=key)
 
     @functools.cached_property
     def inclusion(self) -> tuple[tuple[bool, ...], ...]:

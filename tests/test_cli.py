@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -432,11 +433,34 @@ def test_carrier_bound_is_checked_before_the_table(tmp_path, capsys):
         cli.parse_document(json.dumps(doc))
 
 
+def test_import_loads_no_dataclasses_thread_pool_or_hashlib():
+    """A fresh interpreter that imports topsl.cli loads none of these: each
+    costs startup time that no command needs at import (hashlib loads
+    OpenSSL, which canonical_hash imports on first call)."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    unneeded = ("dataclasses", "inspect", "concurrent.futures", "hashlib")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import topsl.cli; "
+        f"print([m for m in {unneeded!r} if m in sys.modules])"
+    )
+    fresh = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert fresh.stdout == "[]\n"
+    x = tsl.TopologizedSemigroup(
+        FiniteSemilattice(3, ((0, 0, 0), (0, 1, 0), (0, 0, 2))),
+        topo.canonical(3, (0, 2, 6, 7)),
+    )
+    assert verify.canonical_hash(x) == (
+        "e5cd3075ee423be3f1e8b356b0ea28869cd0a05134bed55663e14c919aa1d1d1"
+    )
+
+
 def test_sweep_rejects_too_many_threads_before_starting_any(capsys, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a thread pool was started")
 
-    monkeypatch.setattr(verify, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(threading, "Thread", no_pool)
     monkeypatch.setattr(verify, "instance_classes", no_pool)
     too_many = str(verify.THREADS_MAX + 1)
     assert cli.main(["sweep", "--n-max", "1", "--threads", too_many]) == cli.VALIDATION_EXIT

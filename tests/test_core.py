@@ -22,6 +22,7 @@ from topsl.core import (
     verify_semigroup,
     verify_semilattice,
 )
+from topsl import topo, tsl, weak
 from topsl.oracles import ChainFlags, chain_and_directed
 from topsl.verify import enumerate_posets, enumerate_semilattices
 
@@ -173,3 +174,88 @@ def test_linearity():
     assert is_linear(MIN3)
     assert not is_linear(DIAMOND)
     assert not is_linear(Z2)
+
+
+def _validated_values():
+    """Each validated type: a builder of the same object anew each call, its
+    dataclass-style repr (None where it is too long to spell out), and a bad
+    call with the error type and message it raises."""
+    t = ((0, 0), (0, 1))
+
+    def x():
+        return tsl.TopologizedSemigroup(
+            FiniteSemilattice(2, t), topo.FiniteTopology(2, (1, 2))
+        )
+
+    x_repr = (
+        "TopologizedSemigroup(algebra=FiniteSemilattice(n=2, table=((0, 0), (0, 1))), "
+        "topology=FiniteTopology(n=2, minimal=(1, 2)))"
+    )
+    return [
+        (
+            lambda: FiniteSemigroup(2, t),
+            "FiniteSemigroup(n=2, table=((0, 0), (0, 1)))",
+            lambda: FiniteSemigroup(2, ((1, 0), (0, 0))),
+            MalformedTableError,
+            "operation is not associative, e.g. at (0, 0, 1)",
+        ),
+        (
+            lambda: FiniteSemilattice(2, t),
+            "FiniteSemilattice(n=2, table=((0, 0), (0, 1)))",
+            lambda: FiniteSemilattice(2, ((0, 1), (1, 0))),
+            NotASemilatticeError,
+            "idempotent law fails at (1,)",
+        ),
+        (
+            lambda: FinitePoset(2, (3, 2)),
+            "FinitePoset(n=2, up=(3, 2))",
+            lambda: FinitePoset(2, (3, 3)),
+            ValueError,
+            "relation is not antisymmetric at (0, 1)",
+        ),
+        (
+            lambda: topo.FiniteTopology(2, (1, 2)),
+            "FiniteTopology(n=2, minimal=(1, 2))",
+            lambda: topo.FiniteTopology(2, (1, 1)),
+            ValueError,
+            "minimal neighbourhood 0x1 of 1 misses 1",
+        ),
+        (
+            x,
+            x_repr,
+            lambda: tsl.TopologizedSemigroup(FiniteSemilattice(2, t), topo.discrete(3)),
+            ValueError,
+            "algebra and topology carrier sizes differ",
+        ),
+        (
+            lambda: tsl.ContinuousHom(x(), x(), (0, 1)),
+            f"ContinuousHom(source={x_repr}, target={x_repr}, mapping=(0, 1))",
+            lambda: tsl.ContinuousHom(x(), x(), (1, 0)),
+            ValueError,
+            "mapping is not a homomorphism",
+        ),
+        (lambda: weak.topology_comparison(x()), None, None, None, None),
+    ]
+
+
+def test_validated_types_are_immutable_values():
+    for build, text, bad, error, message in _validated_values():
+        a, b = build(), build()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert not a != b
+        field = type(a)._fields[0]
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(a, field, None)
+        assert getattr(a, field) == getattr(b, field)
+        if text is None:  # spelled out from the fields, as a dataclass does
+            fields = ", ".join(f"{f}={getattr(a, f)!r}" for f in type(a)._fields)
+            text = f"{type(a).__name__}({fields})"
+        assert repr(a) == text
+        if bad is not None:
+            with pytest.raises(error) as raised:
+                bad()
+            assert type(raised.value) is error and str(raised.value) == message
+    table = ((0, 0), (0, 1))
+    # equal only within one class, as dataclass equality is
+    assert FiniteSemigroup(2, table) != FiniteSemilattice(2, table)
+    assert FiniteSemilattice(2, table) != FiniteSemigroup(2, table)

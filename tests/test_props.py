@@ -90,6 +90,16 @@ def test_property_vector_fields_and_purity():
     assert d["weak_circ"] and d["weak_bullet"] and not d["i_weak"]
     assert d["topological"] and d["linear"] and not d["updown_closed"]
     assert not d["t1"] and d["t0"]
+    # property_vector lays the profiles' fields out in this order
+    assert props.PROPERTY_NAMES == (
+        props.UVWProfile._fields
+        + props.SeparationSuite._fields
+        + ("weak_circ", "weak_bullet", "i_weak", "meet_continuous", "linear")
+        + ("shift_homomorphic", "zar_compact_centered")
+        + topo.SeparationProfile._fields
+        + tsl.ContinuityProfile._fields
+        + tsl.OrderProfile._fields
+    )
 
 
 def test_property_vector_requires_semilattice():

@@ -1,8 +1,9 @@
-import dataclasses
 import itertools
 import json
 import math
 import pathlib
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -295,15 +296,14 @@ def test_violation_lines_name_the_representative_and_its_orbit(monkeypatch):
             calls.append(arg)
             return ["forced"]
 
-        forced = dataclasses.replace(rule, check=always_fails)
+        forced = rule._replace(check=always_fails)
         monkeypatch.setattr(verify, "PER_INSTANCE_RULES", (forced,))
         for threads in (1, 2):
             calls.clear()
             stats = verify.sweep(2, rule_ids=[rule_id], threads=threads).rules[rule_id]
             assert stats.applied == 9
             assert sorted(stats.violations) == expected
-            if threads == 1:  # two shards may race to decide the same table
-                assert len(calls) == checks
+            assert len(calls) == checks
 
 
 def test_sub_rule_violation_lines_name_each_subsemigroup(monkeypatch):
@@ -383,6 +383,82 @@ def test_sweep_render_is_stable():
     assert a == b
     assert a.startswith("sweep n_max=2\ninstances checked: 9\n")
     assert a.rstrip().endswith("total violations: 0")
+
+
+def test_audit_fields_follow_the_rule_ids():
+    # the hom and product phases read each audit's verdicts in rule id order
+    hom = tuple(f"hom.{f}" for f in verify.FunctorialAudit._fields[:4])
+    assert hom == verify.HOM_RULE_IDS
+    assert verify.ProductAudit._fields == (
+        "weak_circ_preserved",
+        "weak_bullet_preserved",
+        "i_weak_preserved",
+        "zar_factorizes",
+    )
+    assert verify.PRODUCT_RULE_IDS[:3] == tuple(
+        f"product.{f}" for f in verify.ProductAudit._fields[:3]
+    )
+    assert verify.PRODUCT_RULE_IDS[3] == "product.zar_weak_factorizes"
+
+
+def test_sweep_reports_compare_by_value():
+    assert verify.RuleStats(1, 2, ["x"]) == verify.RuleStats(1, 2, ["x"])
+    assert verify.RuleStats() == verify.RuleStats(0, 0, [])
+    assert verify.RuleStats(1, 2) != verify.RuleStats(1, 3)
+    assert verify.sweep(2) == verify.sweep(2, threads=2)
+    assert verify.sweep(2) != verify.sweep(1)
+
+
+def test_thread_shards_hold_whole_tables():
+    classes = verify.instance_classes(3)
+    for parts in (1, 2, 3, 4, verify.THREADS_MAX):
+        chunks = verify._table_chunks(classes, parts)
+        assert 1 <= len(chunks) <= parts
+        assert [c for chunk in chunks for c in chunk] == classes
+        tables = [{x.algebra for x, _ in chunk} for chunk in chunks]
+        assert all(not a & b for a, b in itertools.combinations(tables, 2))
+    assert len(verify._table_chunks(classes, 2)) == 2
+
+
+def test_threaded_sweep_decides_each_subsemigroup_trace_once(monkeypatch):
+    sub_report = verify._sub_report
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return sub_report(*args)
+
+    monkeypatch.setattr(verify, "_sub_report", counted)
+    golden = (pathlib.Path(__file__).parent / "data" / "sweep3.txt").read_text("ascii")
+    counts = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, to shake out races
+    try:
+        for threads in (1, 2, 4):
+            calls.clear()
+            assert verify.sweep(3, threads=threads).render() == golden
+            counts.append(len(calls))
+    finally:
+        sys.setswitchinterval(interval)
+    assert counts[1:] == counts[:1] * 2
+
+
+def test_an_error_in_a_thread_shard_is_raised_from_sweep(monkeypatch):
+    rule_id = "diagram.weak_within_law_within_tau"
+    shard_threads = set()
+
+    def broken(ctx):
+        shard_threads.add(threading.current_thread())
+        raise RuntimeError(f"broken check on n={ctx.inst.n}")
+
+    rule = next(r for r in verify.PER_INSTANCE_RULES if r.id == rule_id)
+    monkeypatch.setattr(verify, "PER_INSTANCE_RULES", (rule._replace(check=broken),))
+    threads_before = threading.active_count()
+    # the first shard's error, as ThreadPoolExecutor.map would raise it
+    with pytest.raises(RuntimeError, match=r"broken check on n=1$"):
+        verify.sweep(3, rule_ids=[rule_id], threads=2)
+    assert len(shard_threads) == 2 and threading.main_thread() not in shard_threads
+    assert threading.active_count() == threads_before
 
 
 def test_zar_compact_centered_matches_scan():
