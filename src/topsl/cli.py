@@ -499,6 +499,9 @@ def main(argv=None) -> int:
     except (InstanceFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return VALIDATION_EXIT
+    except OSError as exc:  # an output or catalog path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
 

@@ -54,10 +54,6 @@ def bits(mask: int) -> Iterable[int]:
     return _bits_loop(mask)
 
 
-def popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 def mask_of(elems: Iterable[int]) -> int:
     m = 0
     for e in elems:
@@ -180,9 +176,6 @@ class FiniteSemigroup(Frozen):
     def from_rows(cls, rows) -> "FiniteSemigroup":
         return cls(len(rows), tuple(tuple(row) for row in rows))
 
-    def op(self, x: int, y: int) -> int:
-        return self.table[x][y]
-
     @property
     def is_band(self) -> bool:
         return all(self.table[x][x] == x for x in range(self.n))
@@ -211,9 +204,6 @@ class FiniteSemilattice(FiniteSemigroup):
         if bad:
             law, witness = bad[0]
             raise NotASemilatticeError(f"{law} law fails at {witness}")
-
-    def meet(self, x: int, y: int) -> int:
-        return self.table[x][y]
 
 
 class FinitePoset(Frozen):
@@ -254,9 +244,6 @@ class FinitePoset(Frozen):
 
     def comparable(self, x: int, y: int) -> bool:
         return self.leq(x, y) or self.leq(y, x)
-
-    def dual(self) -> "FinitePoset":
-        return FinitePoset(self.n, self.downs)
 
     def is_chain_set(self, s: int) -> bool:
         elems = list(bits(s))

@@ -23,6 +23,15 @@ class UVWProfile(NamedTuple):
     is_v: bool
 
 
+def upper_interiors(x_instance: tsl.TopologizedSemigroup) -> tuple[int, ...]:
+    """The interior of the principal upper set up v of each point v, in
+    point order."""
+    top = x_instance.topology
+    return tuple(
+        topo.interior(top, up) for up in derived(x_instance.algebra, natural_order).up
+    )
+
+
 def uvw_profile(x_instance: tsl.TopologizedSemigroup) -> UVWProfile:
     """U: every open V and x in V have some v in V with x in int(up v).
     Checking V = M_x suffices, as M_x lies within every open V around x.
@@ -34,7 +43,7 @@ def uvw_profile(x_instance: tsl.TopologizedSemigroup) -> UVWProfile:
         raise NotASemilatticeError("U/W/V profile needs a semilattice")
     poset = derived(alg, natural_order)
     n = alg.n
-    int_up = [topo.interior(top, poset.up[v]) for v in range(n)]
+    int_up = upper_interiors(x_instance)
     is_u = all(
         any(int_up[v] >> x & 1 for v in bits(m)) for x, m in enumerate(top.minimal)
     )

@@ -231,13 +231,6 @@ def sub_algebras(alg: FiniteSemigroup) -> tuple[tuple[int, FiniteSemigroup], ...
     return tuple((s, _sub_algebra(alg, s)) for s in subs if s)
 
 
-def sub_instance(inst: tsl.TopologizedSemigroup, s: int) -> tsl.TopologizedSemigroup:
-    """Subsemigroup s with the subspace topology, re-indexed ascending."""
-    return tsl.TopologizedSemigroup(
-        _sub_algebra(inst.algebra, s), topo.subspace(inst.topology, s)
-    )
-
-
 def product_instance(
     a: tsl.TopologizedSemigroup, b: tsl.TopologizedSemigroup
 ) -> tsl.TopologizedSemigroup:
@@ -434,15 +427,6 @@ def _submasks(mask: int):
     return sorted(out)
 
 
-def _chain_extremum(rows, chain_mask: int) -> int:
-    """The element of a chain whose row (down-set for the maximum, up-set
-    for the minimum) holds the whole chain."""
-    for x in bits(chain_mask):
-        if chain_mask & ~rows[x] == 0:
-            return x
-    raise AssertionError("finite chain without an extremum")
-
-
 def _check_diagram(pairs):
     def check(ctx: InstanceContext) -> list[str]:
         out = []
@@ -457,17 +441,13 @@ def _check_diagram(pairs):
 
 
 def _check_uw_equivalence(ctx: InstanceContext) -> list[str]:
-    inst, poset = ctx.inst, ctx.poset
-    top = inst.topology
-    cond3 = True
-    for u in top.opens:
-        if cone(poset, u, "up") != u:
-            continue
-        for x in bits(u):
-            if not any(
-                topo.interior(top, poset.up[y]) >> x & 1 for y in bits(u)
-            ):
-                cond3 = False
+    int_up = props.upper_interiors(ctx.inst)
+    cond3 = all(
+        any(int_up[y] >> x & 1 for y in bits(u))
+        for u in ctx.inst.topology.opens
+        if cone(ctx.poset, u, "up") == u
+        for x in bits(u)
+    )
     values = (ctx.pv["is_u"], ctx.pv["is_w"], cond3)
     if len(set(values)) > 1:
         return [f"U/W/upper-set conditions disagree: {values}"]
@@ -476,17 +456,12 @@ def _check_uw_equivalence(ctx: InstanceContext) -> list[str]:
 
 def _check_finite_upper_refines(ctx: InstanceContext) -> list[str]:
     inst, poset = ctx.inst, ctx.poset
-    top = inst.topology
+    int_up = props.upper_interiors(inst)
     out = []
-    for f in subsets(inst.n):
-        if not f:
-            continue
-        up_f = cone(poset, f, "up")
-        inner = topo.interior(top, up_f)
+    for f in range(1, 1 << inst.n):
+        inner = topo.interior(inst.topology, cone(poset, f, "up"))
         for x in bits(inner):
-            if not any(
-                topo.interior(top, poset.up[e]) >> x & 1 for e in bits(f)
-            ):
+            if not any(int_up[e] >> x & 1 for e in bits(f)):
                 out.append(f"no single generator of upper set {f:#x} works at {x}")
     return out
 
@@ -540,7 +515,7 @@ def _check_scott_gap(ctx: InstanceContext) -> list[str]:
             gap = m & ~u
             if not gap:
                 continue
-            x = _chain_extremum(poset.downs, gap)
+            x = bound_extremum(poset, gap, "sup")
             if gap != m & poset.down(x):
                 out.append(
                     f"chain gap {gap:#x} is not the down-trace of its maximum {x}"
@@ -551,6 +526,7 @@ def _check_scott_gap(ctx: InstanceContext) -> list[str]:
 def _check_trace(direction: str):
     """The trace of each principal down-set (up-set) on a maximal chain is
     the principal down-set (up-set) of its maximum (minimum)."""
+    kind = "sup" if direction == "down" else "inf"
 
     def check(alg: FiniteSemigroup) -> list[str]:
         poset, chains = _order_of(alg)
@@ -559,7 +535,7 @@ def _check_trace(direction: str):
         for x in range(alg.n):
             for m in chains:
                 trace = m & rows[x]
-                if trace and trace != m & rows[_chain_extremum(rows, trace)]:
+                if trace and trace != m & rows[bound_extremum(poset, trace, kind)]:
                     out.append(f"{direction}-trace {trace:#x} of {x} is not principal")
         return out
 
@@ -766,10 +742,8 @@ PER_INSTANCE_RULES = (
         (),
         _all_equal(
             "T1 for original vs zar",
-            lambda ctx: (
-                ctx.pv["t1"],
-                topo.separation_profile(ctx.comp.bundle.zar).t1,
-            ),
+            # a finite T1 space is discrete, so zar is T1 iff it is Hausdorff
+            lambda ctx: (ctx.pv["t1"], ctx.pv["zar_hausdorff"]),
         ),
     ),
     Rule(
@@ -1185,23 +1159,23 @@ def _product_phase(classes, rule_ids, stats, memo) -> None:
 
 def _main_conditions(inst, comp) -> tuple:
     b = comp.bundle
-    uvw = props.uvw_profile(inst)
+    pv = props.property_vector(inst, comp)
     return (
-        comp.i_weak,
-        comp.weak_circ,
-        comp.weak_bullet,
+        pv.i_weak,
+        pv.weak_circ,
+        pv.weak_bullet,
         b.weak == b.lawson,
         weak.family_within(b.lawson, b.law),
-        topo.separation_profile(b.law).t2,
-        topo.separation_profile(b.zar).t2,
-        topo.separation_profile(b.weak).t2,
+        pv.law_hausdorff,
+        pv.zar_hausdorff,
+        pv.weak_hausdorff,
         topo.separation_profile(b.lawson).t2,
-        props._two_topology_separated(inst.topology, b.law),
-        props._two_topology_separated(inst.topology, b.zar),
-        props.i_separated(inst, comp.cuts),
-        uvw.is_w,
-        uvw.is_u,
-        uvw.is_v,
+        pv.law_tau_separated,
+        pv.zar_tau_separated,
+        pv.i_separated,
+        pv.is_w,
+        pv.is_u,
+        pv.is_v,
     )
 
 
@@ -1210,19 +1184,14 @@ def _main_phase(n_max: int, stats, memo) -> None:
     exactly the compact Hausdorff ones, with n <= max(n_max, 4).  Every
     permutation fixes the discrete topology, so each semilattice class
     counts n!/|Aut(S)| times."""
-    s = stats.setdefault(MAIN_RULE_ID, RuleStats())
     for n in range(1, max(n_max, 4) + 1):
         disc = topo.discrete(n)
         for sl, aut in semilattice_classes(n):
             inst = memo.instance(tsl.TopologizedSemigroup(sl, disc))
-            comp = memo.comparison(inst)
             weight = math.factorial(n) // len(aut)
-            s.applied += weight
-            values = _main_conditions(inst, comp)
-            if len(set(values)) > 1:
-                s.violations.append(
-                    f"{_where(inst, weight)} :: conditions disagree: {values}"
-                )
+            values = _main_conditions(inst, memo.comparison(inst))
+            line = f"{_where(inst, weight)} :: conditions disagree: {values}"
+            _tally(stats, None, MAIN_RULE_ID, len(set(values)) == 1, weight, [line])
 
 
 def _table_chunks(classes, parts: int) -> list:

@@ -289,6 +289,18 @@ def test_cmd_export(instance_file, tmp_path, capsys):
     assert out_path.read_text().startswith("digraph opens {")
 
 
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unwritable_output_path_is_a_usage_error(instance_file, tmp_path, capsys, where):
+    path = tmp_path if where == "directory" else tmp_path / "absent" / "out"
+    search = ["search", "--violate", "t1", "--n-max", "2"]
+    export = ["export", instance_file, "--output", str(path)]
+    for argv in (export, search + ["--catalog", str(path)]):
+        assert cli.main(argv) == cli.USAGE_EXIT
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and str(path) in err
+        assert "Traceback" not in err
+
+
 def test_exit_codes(instance_file, tmp_path, capsys):
     assert cli.main(["no-such-command"]) == cli.USAGE_EXIT
     capsys.readouterr()

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import topsl
 from topsl import oracles, props, topo, tsl, verify, weak
 from topsl.core import (
     FiniteSemigroup,
@@ -251,6 +252,41 @@ def test_law_hausdorff_witness_matches_opens_route():
             ) == oracles.law_hausdorff_witness_by_opens(x, a, b)
 
 
+def test_main_conditions_match_literal_routes():
+    """The main phase's fifteen conditions, read off the property vector,
+    against each condition's literal route.  The instances are not only the
+    discrete ones, on which all fifteen hold, so a misread field shows."""
+    disagreeing = 0
+    for x in _witness_cases():
+        comp = weak.topology_comparison(x)
+        b = comp.bundle
+        law, zar, wk, lawson = (
+            oracles.separation_profile_by_scan(t).t2
+            for t in (b.law, b.zar, b.weak, b.lawson)
+        )
+        uvw = oracles.uvw_profile_by_scan(x)
+        literal = (
+            comp.i_weak,
+            comp.weak_circ,
+            comp.weak_bullet,
+            b.weak == b.lawson,
+            oracles.family_within_by_opens(b.lawson, b.law),
+            law,
+            zar,
+            wk,
+            lawson,
+            oracles.two_topology_separated_by_scan(x.topology, b.law),
+            oracles.two_topology_separated_by_scan(x.topology, b.zar),
+            props.i_separated(x, oracles.multiplicative_cuts_by_scan(x)),
+            uvw.is_w,
+            uvw.is_u,
+            uvw.is_v,
+        )
+        assert verify._main_conditions(x, comp) == literal, verify._describe(x)
+        disagreeing += len(set(literal)) > 1
+    assert disagreeing > 0
+
+
 def test_zar_hausdorff_witness_matches_combination_search():
     found = {True: 0, False: 0}
     for x in _witness_cases():
@@ -372,6 +408,36 @@ def test_package_never_imports_oracles():
             continue
         imported = _imported_modules(ast.parse(path.read_text(encoding="utf-8")))
         assert "topsl.oracles" not in imported, f"{path.name} imports topsl.oracles"
+
+
+# defined in the package but never named by it, each for its reason
+UNNAMED_ALLOWED = {
+    "error": "argparse calls _Parser.error",
+    "from_rows": "public constructor of FiniteSemigroup",
+    "load_catalog": "public reader of the catalogs that search writes",
+}
+
+
+def test_package_defines_no_function_only_tests_use():
+    """Every function and method of the package outside oracles.py is named
+    somewhere in it or exported in topsl.__all__; dunder methods are called
+    by Python itself."""
+    src = pathlib.Path(props.__file__).parent
+    named, defined = set(topsl.__all__), set()
+    for path in src.glob("*.py"):
+        if path.name == "oracles.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.add(node.name)
+    unnamed = {
+        f for f in defined - named if not (f.startswith("__") and f.endswith("__"))
+    }
+    assert unnamed == set(UNNAMED_ALLOWED)
 
 
 def test_import_guard_sees_every_import_form():
