@@ -117,23 +117,26 @@ def document_to_instance(doc: InstanceDocument) -> tsl.TopologizedSemigroup:
     index = {name: i for i, name in enumerate(doc.elements)}
     n = len(doc.elements)
     table = tuple(tuple(index[v] for v in row) for row in doc.table)
-    # one associativity scan serves both messages; associativity is reported
-    # before the other semilattice laws
-    if doc.is_meet:
-        failures = verify_semilattice(table)
-    else:
-        failures = [("associative", t) for t in verify_semigroup(table)]
-    associative = [w for law, w in failures if law == "associative"]
-    if associative:
-        x, y, z = associative[0]
-        names = doc.elements
-        raise InstanceFormatError(
-            f"table is not associative at ({names[x]}, {names[y]}, {names[z]})"
-        )
-    if failures:
-        law, witness = failures[0]
-        raise InstanceFormatError(f"meet table fails the {law} law at {witness}")
-    algebra = (FiniteSemilattice if doc.is_meet else FiniteSemigroup)(n, table)
+    try:
+        algebra = (FiniteSemilattice if doc.is_meet else FiniteSemigroup)(n, table)
+    except ValueError:
+        # the constructor checks every law; scan again only to word the
+        # failure, associativity before the other semilattice laws
+        if doc.is_meet:
+            failures = verify_semilattice(table)
+        else:
+            failures = [("associative", t) for t in verify_semigroup(table)]
+        associative = [w for law, w in failures if law == "associative"]
+        if associative:
+            x, y, z = associative[0]
+            names = doc.elements
+            raise InstanceFormatError(
+                f"table is not associative at ({names[x]}, {names[y]}, {names[z]})"
+            )
+        if failures:
+            law, witness = failures[0]
+            raise InstanceFormatError(f"meet table fails the {law} law at {witness}")
+        raise
 
     masks = [mask_of(index[v] for v in u) for u in doc.opens]
     present = set(masks)
@@ -277,20 +280,25 @@ def _json_block(items, depth: int, brackets: str) -> str:
 
 def _check_json(pv: dict, comp: weak.ComparisonReport, names) -> str:
     """json.dumps(report, indent=2) of the check report, written directly so
-    that each distinct open set is encoded once: lawson and interval list
-    every subset, and the other five topologies reuse those masks."""
+    that each distinct open set and each distinct topology is encoded once:
+    lawson and interval are one discrete topology listing every subset, and
+    the other five topologies reuse those masks."""
     enc = json.encoder.encode_basestring_ascii
     quoted = [enc(name) for name in names]
+    # one open set in the layout _json_block(..., 3, "[]") gives
+    pad = "\n" + "  " * 4
+    sep, close = "," + pad, "\n" + "  " * 3 + "]"
     encoded = {0: "[]"}
-
-    def open_set(u: int) -> str:
-        if u not in encoded:
-            encoded[u] = _json_block([quoted[i] for i in bits(u)], 3, "[]")
-        return encoded[u]
-
+    blocks = {}  # equal topologies share a block
+    for top in comp.bundle:
+        if top in blocks:
+            continue
+        for u in top.opens:
+            if u not in encoded:
+                encoded[u] = f"[{pad}{sep.join([quoted[i] for i in bits(u)])}{close}"
+        blocks[top] = _json_block([encoded[u] for u in top.opens], 2, "[]")
     topologies = [
-        f"{enc(k)}: " + _json_block([open_set(u) for u in top.opens], 2, "[]")
-        for k, top in comp.bundle.as_dict().items()
+        f"{enc(k)}: {blocks[top]}" for k, top in comp.bundle.as_dict().items()
     ]
     flag = {True: "true", False: "false"}
     fields = [

@@ -12,6 +12,7 @@ from typing import NamedTuple
 from . import cli, props, topo, tsl, verify
 from .core import (
     FinitePoset,
+    FiniteSemigroup,
     FiniteSemilattice,
     NotASemilatticeError,
     bits,
@@ -139,7 +140,7 @@ def product_by_union_closure(
 def law_topology_by_opens(x_instance: tsl.TopologizedSemigroup) -> topo.FiniteTopology:
     """weak.law_topology, generated by the open sets that are subsemigroups."""
     alg, top = x_instance.algebra, x_instance.topology
-    base = [u for u in top.opens if tsl._is_subsemigroup(alg, u)]
+    base = [u for u in top.opens if is_subsemigroup(alg, u)]
     return topo.generate_topology(alg.n, base)
 
 
@@ -223,17 +224,21 @@ def order_profile_by_scan(x_instance: tsl.TopologizedSemigroup) -> tsl.OrderProf
     return tsl.OrderProfile(updown, complete, chain_compact, down_chain_compact)
 
 
+def is_subsemigroup(alg: FiniteSemigroup, s: int) -> bool:
+    """Whether s is closed under the operation, tested pair by pair."""
+    elems = list(bits(s))
+    return all(s >> alg.table[x][y] & 1 for x in elems for y in elems)
+
+
 def subsemigroups_by_scan(
     x_instance: tsl.TopologizedSemigroup, closed_only: bool = False
 ) -> list[int]:
     """tsl.enumerate_subsemigroups, scanning every subset pair by pair."""
     alg, top = x_instance.algebra, x_instance.topology
-    t = alg.table
     return [
         s
         for s in subsets(alg.n)
-        if all(s >> t[x][y] & 1 for x in bits(s) for y in bits(s))
-        and (not closed_only or top.is_closed(s))
+        if is_subsemigroup(alg, s) and (not closed_only or top.is_closed(s))
     ]
 
 
@@ -388,7 +393,7 @@ def subtopological_by_scan(x_instance: tsl.TopologizedSemigroup) -> bool:
     of every subsemigroup against the operation."""
     alg, top = x_instance.algebra, x_instance.topology
     return all(
-        tsl._is_subsemigroup(alg, topo.closure(top, s))
+        is_subsemigroup(alg, topo.closure(top, s))
         for s in tsl.enumerate_subsemigroups(x_instance, closed_only=False)
     )
 
@@ -472,7 +477,7 @@ def law_hausdorff_witness_by_opens(
     if x == y:
         raise ValueError("witness needs two distinct points")
     alg, top = x_instance.algebra, x_instance.topology
-    open_subs = [u for u in top.opens if tsl._is_subsemigroup(alg, u)]
+    open_subs = [u for u in top.opens if is_subsemigroup(alg, u)]
     for a in open_subs:
         if not a >> x & 1:
             continue

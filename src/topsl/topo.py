@@ -61,18 +61,11 @@ class FiniteTopology(Frozen):
 
     @cached_property
     def _open_set(self) -> frozenset[int]:
-        """Every union of minimal neighbourhoods, found by a walk from the
-        empty set over u | M_x."""
-        minimal = set(self.minimal)
+        """Every union of minimal neighbourhoods: one pass per distinct M_x
+        joins it to each union found so far."""
         opens = {0}
-        frontier = [0]
-        while frontier:
-            u = frontier.pop()
-            for m in minimal:
-                v = u | m
-                if v not in opens:
-                    opens.add(v)
-                    frontier.append(v)
+        for m in set(self.minimal):
+            opens |= {u | m for u in opens}
         return frozenset(opens)
 
     @cached_property
@@ -111,8 +104,8 @@ def canonical(n: int, opens) -> FiniteTopology:
         if m not in family:
             raise ValueError(f"missing intersection {m:#x} of the open sets around {x}")
     if top._open_set != family:
-        # each member is the union of the M_x of its points, so the walk
-        # found every member; it also found u | M_x for some member u
+        # each member is the union of the M_x of its points, so the passes
+        # found every member; they also found u | M_x for some member u
         u, m = next(
             (u, m) for u in sorted(family) for m in top.minimal if u | m not in family
         )

@@ -15,7 +15,6 @@ from .core import (
     derived,
     mask_of,
     natural_order,
-    subsets,
 )
 
 
@@ -131,15 +130,26 @@ def continuity_profile(x_instance: TopologizedSemigroup) -> ContinuityProfile:
     return ContinuityProfile(topological, semitopological, subtopological)
 
 
-def _is_subsemigroup(alg: FiniteSemigroup, s: int) -> bool:
-    elems = list(bits(s))
-    return all(s >> alg.table[x][y] & 1 for x in elems for y in elems)
-
-
 def subsemigroups(alg: FiniteSemigroup) -> tuple[int, ...]:
     """All subsets closed under the operation (including the empty set),
-    ascending by bitmask; read through core.derived, once per table."""
-    return tuple(s for s in subsets(alg.n) if _is_subsemigroup(alg, s))
+    ascending by bitmask; read through core.derived, once per table.
+
+    prod[s], the set of products of two members of s, is prod[m] | img[m]
+    for m = s without its highest member h, where img[m] holds h*h and h*y,
+    y*h for each y in m; s is closed iff prod[s] lies within s.  So each
+    subset costs one OR.  oracles.subsemigroups_by_scan tests every pair."""
+    t = alg.table
+    prod, out = [0], [0]
+    for h in range(alg.n):
+        img = [1 << t[h][h]]  # img[m] for every m below 2**h, bit by bit
+        for y in range(h):
+            add = 1 << t[h][y] | 1 << t[y][h]
+            img += [i | add for i in img]
+        high = 1 << h
+        grown = [p | i for p, i in zip(prod, img)]
+        out += [m | high for m, p in enumerate(grown) if p & ~(m | high) == 0]
+        prod += grown
+    return tuple(out)
 
 
 def enumerate_subsemigroups(

@@ -369,6 +369,12 @@ def test_check_json_matches_json_dumps_byte_for_byte(tmp_path, capsys):
     odd = ['q"', "b\\", "é", "t\tab"]
     cases = [(x, None) for x in verify.universe(3)]
     cases.append((tsl.chain_semilattice(5), None))
+    # the 5-chain under every 5-point topology with at most 5 opens: equal
+    # bundle topologies share a block, and the discrete one lists 32 sets
+    chain5 = tsl.chain_semilattice(5).algebra
+    few_opens = [t for t in verify.enumerate_topologies(5) if len(t.opens) <= 5]
+    assert len(few_opens) == 586
+    cases += [(tsl.TopologizedSemigroup(chain5, t), None) for t in few_opens]
     cases.append((tsl.TopologizedSemigroup(tsl.chain_semilattice(4).algebra, topo.indiscrete(4)), odd))
     cases.append((tsl.chain_semilattice(4), odd))
     path = tmp_path / "x.json"
@@ -392,7 +398,7 @@ def _meet_doc(table):
 
 
 @pytest.mark.parametrize("key", ["meet", "op"])
-def test_check_scans_associativity_twice(key, tmp_path, capsys, monkeypatch):
+def test_check_scans_associativity_once(key, tmp_path, capsys, monkeypatch):
     calls = []
     real = core.verify_semigroup
 
@@ -408,8 +414,9 @@ def test_check_scans_associativity_twice(key, tmp_path, capsys, monkeypatch):
     path.write_text(json.dumps(doc))
     assert cli.main(["check", str(path)]) == 0
     capsys.readouterr()
-    # one scan in document_to_instance, one in the FiniteSemigroup constructor
-    assert len(calls) == 2
+    # the FiniteSemigroup constructor's scan; document_to_instance scans
+    # again only to word a failure
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

@@ -63,6 +63,16 @@ def test_discrete_and_indiscrete():
     assert topo.discrete(1) == topo.indiscrete(1)
 
 
+def test_union_passes_find_every_open():
+    tops = [top for n in range(1, 5) for top in enumerate_topologies(n)]
+    assert len(tops) == 1 + 4 + 29 + 355
+    for n in range(1, 11):
+        tops += [topo.discrete(n), topo.indiscrete(n)]
+        assert topo.discrete(n).opens == tuple(subsets(n))
+    for top in tops:
+        assert top.opens == saturate_family(top.n, top.minimal)
+
+
 def test_generate_topology_small_cases():
     assert topo.generate_topology(2, [0b10]) == SIERPINSKI
     # two crossing subbase sets force their intersection and union

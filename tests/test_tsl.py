@@ -108,6 +108,22 @@ def test_enumerate_subsemigroups_matches_subset_scan_oracle():
             assert tsl.enumerate_subsemigroups(
                 x, closed_only
             ) == oracles.subsemigroups_by_scan(x, closed_only)
+    # every labeled semilattice table with n <= 5, and every associative
+    # table with n <= 3, commutative or not
+    algebras = [sl for n in range(1, 6) for sl in verify.enumerate_semilattices(n)]
+    assert len(algebras) == 1153
+    semigroups = [
+        FiniteSemigroup(n, rows)
+        for n in range(1, 4)
+        for flat in itertools.product(range(n), repeat=n * n)
+        for rows in [tuple(flat[i * n : (i + 1) * n] for i in range(n))]
+        if not verify_semigroup(rows)
+    ]
+    assert len(semigroups) == 122
+    assert sum(not s.is_commutative for s in semigroups) > 0
+    for alg in algebras + semigroups:
+        x = inst(alg, topo.indiscrete(alg.n))
+        assert tsl.enumerate_subsemigroups(x) == oracles.subsemigroups_by_scan(x)
 
 
 def test_subsemigroups_are_derived_once_per_table(monkeypatch):
