@@ -62,9 +62,10 @@ def parse_document(text: str) -> InstanceDocument:
         raise InstanceFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InstanceFormatError("document must be a JSON object")
-    if raw.get("schema_version") != SCHEMA_VERSION:
+    version = raw.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:  # not True or 1.0
         raise InstanceFormatError(
-            f"schema_version must be {SCHEMA_VERSION}, got {raw.get('schema_version')!r}"
+            f"schema_version must be {SCHEMA_VERSION}, got {version!r}"
         )
     elements = raw.get("elements")
     if (
@@ -91,7 +92,7 @@ def parse_document(text: str) -> InstanceDocument:
         if not isinstance(row, list) or len(row) != n:
             raise InstanceFormatError(f"table row {x} must have {n} entries")
         for y, v in enumerate(row):
-            if v not in known:
+            if not isinstance(v, str) or v not in known:
                 raise InstanceFormatError(f"unknown name {v!r} at table[{x}][{y}]")
     opens_raw = raw.get("opens")
     if not isinstance(opens_raw, list):
@@ -101,7 +102,7 @@ def parse_document(text: str) -> InstanceDocument:
         if not isinstance(u, list):
             raise InstanceFormatError(f"open set {i} must be a list of names")
         for v in u:
-            if v not in known:
+            if not isinstance(v, str) or v not in known:
                 raise InstanceFormatError(f"unknown name {v!r} in open set {i}")
         opens.append(frozenset(u))
     return InstanceDocument(

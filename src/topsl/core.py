@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 from typing import Iterable, Iterator, Optional
+_set = object.__setattr__  # looked up once, not per Frozen field
 
 class MalformedTableError(ValueError):
     """Operation table has the wrong shape or an out-of-range entry."""
@@ -69,20 +70,38 @@ def derived(value, fn):
     so nothing outlives the values a caller holds.  Threads that race on the
     same value may each compute it; the results are equal.
     """
-    memo = vars(value).setdefault("_derived", {})
+    memo = getattr(value, "_derived", None)
+    if memo is None:  # set inline, as cached sets its value
+        object.__setattr__(value, "_derived", memo := {})
     if fn not in memo:
         memo[fn] = fn(value)
     return memo[fn]
 
 
+class cached(functools.cached_property):
+    """A cached_property set with object.__setattr__, inline as Frozen's fields
+    are: on CPython 3.11 reads from a written instance __dict__ are slower."""
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = self.func(obj)
+        object.__setattr__(obj, self.attrname, value)
+        return value
+
+
 class Frozen:
-    """An immutable value.  Its constructor checks its arguments, then puts
-    each field, named in the class's _fields, and their tuple _key into the
-    instance __dict__ at once.  Equality (between objects of the same class
-    only) and hashing read _key.  Setting an attribute raises AttributeError,
-    while the __dict__ still holds what derived and cached_property keep."""
+    """An immutable value.  A subclass checks its arguments, then Frozen.__init__
+    sets each field named in _fields, and their tuple _key, with object.__setattr__,
+    as derived and cached set what they keep: inline on CPython 3.11, with no
+    instance dict.  Equality (within one class) and hashing read _key."""
 
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+        _set(self, "_key", values)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -161,8 +180,6 @@ class FiniteSemigroup(Frozen):
     """An associative operation table over the carrier 0..n-1."""
 
     _fields = ("n", "table")
-    n: int
-    table: tuple[tuple[int, ...], ...]
 
     def __init__(self, n: int, table: tuple[tuple[int, ...], ...]):
         if n != len(table):
@@ -170,7 +187,7 @@ class FiniteSemigroup(Frozen):
         bad = verify_semigroup(table)
         if bad:
             raise MalformedTableError(f"operation is not associative, e.g. at {bad[0]}")
-        self.__dict__.update(n=n, table=table, _key=(n, table))
+        Frozen.__init__(self, n, table)
 
     @classmethod
     def from_rows(cls, rows) -> "FiniteSemigroup":
@@ -180,7 +197,7 @@ class FiniteSemigroup(Frozen):
     def is_band(self) -> bool:
         return all(self.table[x][x] == x for x in range(self.n))
 
-    @functools.cached_property
+    @cached
     def is_commutative(self) -> bool:
         """Computed once per algebra object and kept on it."""
         return all(
@@ -189,7 +206,7 @@ class FiniteSemigroup(Frozen):
             for y in range(x + 1, self.n)
         )
 
-    @functools.cached_property
+    @cached
     def is_semilattice(self) -> bool:
         """Computed once per algebra object and kept on it."""
         return self.is_band and self.is_commutative
@@ -211,8 +228,6 @@ class FinitePoset(Frozen):
     `downs[x]` (not a field) is the bitmask of {z : z <= x}."""
 
     _fields = ("n", "up")
-    n: int
-    up: tuple[int, ...]
 
     def __init__(self, n: int, up: tuple[int, ...]):
         if len(up) != n:
@@ -233,7 +248,8 @@ class FinitePoset(Frozen):
         for x in range(n):
             for y in bits(up[x]):
                 downs[y] |= 1 << x
-        self.__dict__.update(n=n, up=up, _key=(n, up), downs=tuple(downs))
+        Frozen.__init__(self, n, up)
+        object.__setattr__(self, "downs", tuple(downs))
 
     def leq(self, x: int, y: int) -> bool:
         return bool(self.up[x] >> y & 1)

@@ -240,7 +240,7 @@ def property_vector(
         comparison.weak_circ,
         comparison.weak_bullet,
         comparison.i_weak,
-        derived(alg, is_meet_continuous),
+        is_meet_continuous(alg),
         derived(alg, is_linear),
         True,  # shift_homomorphic: a*x*a*y = a*a*x*y = a*x*y in a semilattice
         zar_compact_centered(x_instance),

@@ -15,10 +15,9 @@ and interior all work from `minimal`.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
 from typing import NamedTuple
 
-from .core import Frozen, bits, full_mask, mask_of
+from .core import Frozen, bits, cached, full_mask, mask_of
 
 
 def _minimal(n: int, sets) -> tuple[int, ...]:
@@ -39,8 +38,6 @@ class FiniteTopology(Frozen):
     """`minimal[x]` is M_x, the smallest open set containing x."""
 
     _fields = ("n", "minimal")
-    n: int
-    minimal: tuple[int, ...]
 
     def __init__(self, n: int, minimal: tuple[int, ...]):
         if len(minimal) != n:
@@ -57,9 +54,9 @@ class FiniteTopology(Frozen):
                         f"minimal neighbourhoods are not a preorder: {y} lies in "
                         f"M_{x} = {m:#x} but M_{y} = {minimal[y]:#x} does not"
                     )
-        self.__dict__.update(n=n, minimal=minimal, _key=(n, minimal))
+        Frozen.__init__(self, n, minimal)
 
-    @cached_property
+    @cached
     def _open_set(self) -> frozenset[int]:
         """Every union of minimal neighbourhoods: one pass per distinct M_x
         joins it to each union found so far."""
@@ -68,7 +65,7 @@ class FiniteTopology(Frozen):
             opens |= {u | m for u in opens}
         return frozenset(opens)
 
-    @cached_property
+    @cached
     def opens(self) -> tuple[int, ...]:
         """The open sets, ascending by bitmask."""
         return tuple(sorted(self._open_set))

@@ -20,14 +20,11 @@ from .core import (
 
 class TopologizedSemigroup(Frozen):
     _fields = ("algebra", "topology")
-    algebra: FiniteSemigroup
-    topology: topo.FiniteTopology
 
     def __init__(self, algebra: FiniteSemigroup, topology: topo.FiniteTopology):
         if algebra.n != topology.n:
             raise ValueError("algebra and topology carrier sizes differ")
-        key = (algebra, topology)
-        self.__dict__.update(algebra=algebra, topology=topology, _key=key)
+        Frozen.__init__(self, algebra, topology)
 
     @property
     def n(self) -> int:
@@ -70,9 +67,6 @@ def is_continuous(
 
 class ContinuousHom(Frozen):
     _fields = ("source", "target", "mapping")
-    source: TopologizedSemigroup
-    target: TopologizedSemigroup
-    mapping: tuple[int, ...]
 
     def __init__(
         self, source: TopologizedSemigroup, target: TopologizedSemigroup, mapping
@@ -85,8 +79,7 @@ class ContinuousHom(Frozen):
             raise ValueError("mapping is not a homomorphism")
         if not is_continuous(source.topology, target.topology, mapping):
             raise ValueError("mapping is not continuous")
-        key = (source, target, mapping)
-        self.__dict__.update(source=source, target=target, mapping=mapping, _key=key)
+        Frozen.__init__(self, source, target, mapping)
 
 
 class ContinuityProfile(NamedTuple):

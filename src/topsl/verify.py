@@ -549,7 +549,7 @@ def _check_shift_identities(alg: FiniteSemigroup) -> list[str]:
         and is_homomorphism(alg, alg, [t[x][a] for x in range(alg.n)])
         for a in range(alg.n)
     )
-    identities = derived(alg, is_shift_homomorphic)
+    identities = is_shift_homomorphic(alg)
     if literal != identities:
         return [f"shift identities ({identities}) vs literal ({literal})"]
     return []

@@ -9,7 +9,6 @@ the natural order.
 
 from __future__ import annotations
 
-import functools
 from operator import and_
 from typing import NamedTuple, Sequence
 
@@ -18,6 +17,7 @@ from .core import (
     FinitePoset,
     Frozen,
     NotASemilatticeError,
+    cached,
     derived,
     full_mask,
     natural_order,
@@ -124,18 +124,11 @@ class TopologyBundle(NamedTuple):
 
 
 class ComparisonReport(Frozen):
+    """The bundle, the multiplicative cuts, and whether law, zar, weak equal tau."""
+
     _fields = ("bundle", "cuts", "weak_circ", "weak_bullet", "i_weak")
-    bundle: TopologyBundle
-    cuts: tuple[int, ...]  # multiplicative_cuts of the instance
-    weak_circ: bool
-    weak_bullet: bool
-    i_weak: bool
 
-    def __init__(self, bundle, cuts, weak_circ, weak_bullet, i_weak):
-        key = (bundle, cuts, weak_circ, weak_bullet, i_weak)
-        self.__dict__.update(zip(self._fields, key), _key=key)
-
-    @functools.cached_property
+    @cached
     def inclusion(self) -> tuple[tuple[bool, ...], ...]:
         """inclusion[i][j]: family i within family j, in TOPOLOGY_NAMES
         order; built on first read (topsl check reads it, a sweep never).
@@ -171,7 +164,7 @@ def topology_comparison(x_instance: tsl.TopologizedSemigroup) -> ComparisonRepor
         weak=weak_topology(x_instance, cuts),
         scott=derived(poset, scott_topology),
         lawson=derived(poset, lawson_topology),
-        interval=derived(poset, interval_topology),
+        interval=interval_topology(poset),
     )
     for weaker, stronger in (
         ("weak", "law"),
@@ -184,9 +177,9 @@ def topology_comparison(x_instance: tsl.TopologizedSemigroup) -> ComparisonRepor
         if not family_within(getattr(bundle, weaker), getattr(bundle, stronger)):
             raise AssertionError(f"structural inclusion {weaker} within {stronger} failed")
     return ComparisonReport(
-        bundle=bundle,
-        cuts=tuple(cuts),
-        weak_circ=bundle.law == bundle.tau,
-        weak_bullet=bundle.zar == bundle.tau,
-        i_weak=bundle.weak == bundle.tau,
+        bundle,
+        tuple(cuts),
+        bundle.law == bundle.tau,  # weak_circ
+        bundle.zar == bundle.tau,  # weak_bullet
+        bundle.weak == bundle.tau,  # i_weak
     )

@@ -49,6 +49,15 @@ def test_parse_errors():
         cli.parse_instance(doc_text(meet=[["z", "w"], ["z", "u"]]))
     with pytest.raises(cli.InstanceFormatError, match="schema_version"):
         cli.parse_instance(doc_text(schema_version=2))
+    # names are strings: a nested array or object is an unknown name, and
+    # the schema version is the integer 1, not a bool or float equal to it
+    with pytest.raises(cli.InstanceFormatError, match=r"unknown name \['z'\] at table\[0\]\[1\]"):
+        cli.parse_instance(doc_text(meet=[["z", ["z"]], ["z", "u"]]))
+    with pytest.raises(cli.InstanceFormatError, match=r"unknown name \{'u': 1\} in open set 1"):
+        cli.parse_instance(doc_text(opens=[[], [{"u": 1}], ["z", "u"]]))
+    for version in (True, 1.0):
+        with pytest.raises(cli.InstanceFormatError, match=f"got {version}"):
+            cli.parse_instance(doc_text(schema_version=version))
     with pytest.raises(cli.InstanceFormatError, match="not valid JSON"):
         cli.parse_instance("{")
     with pytest.raises(cli.InstanceFormatError, match="distinct"):
@@ -311,6 +320,10 @@ def test_exit_codes(instance_file, tmp_path, capsys):
     assert cli.main(["check", str(bad)]) == cli.VALIDATION_EXIT
     err = capsys.readouterr().err
     assert "missing full set" in err
+    bad.write_text(doc_text(meet=[["z", ["z"]], ["z", "u"]]))
+    assert cli.main(["check", str(bad)]) == cli.VALIDATION_EXIT
+    err = capsys.readouterr().err
+    assert "unknown name ['z'] at table[0][1]" in err and "Traceback" not in err
     assert cli.main(["search", "--violate", "bogus", "--n-max", "1"]) == cli.VALIDATION_EXIT
     assert cli.main(["--help"]) == 0
 

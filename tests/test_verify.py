@@ -1,7 +1,9 @@
 import itertools
 import json
 import math
+import os
 import pathlib
+import subprocess
 import sys
 import threading
 
@@ -274,6 +276,34 @@ def test_sweep4_render_matches_labeled_golden_output():
     golden = path.read_text(encoding="ascii")
     assert verify.sweep(4).render() == golden
     assert verify.sweep(4, threads=2).render() == golden
+
+
+SWEEP5_MD5 = "d1cde073657ba9acd757878c09c3a877"
+
+
+@pytest.mark.skipif(
+    os.environ.get("TOPSL_SWEEP5") != "1", reason="opt-in: set TOPSL_SWEEP5=1 (about 30 s)"
+)
+def test_sweep5_render_and_peak_memory():
+    """sweep(5), in a fresh isolated interpreter with SWEEP_MAX raised to 5
+    there only, renders the known output and peaks under 140 MiB (about
+    127 MiB with inline Frozen fields, 168 MiB with a dict per value)."""
+    src = str(pathlib.Path(verify.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "import hashlib, resource\n"
+        "from topsl import verify\n"
+        "verify.SWEEP_MAX = 5\n"
+        "text = verify.sweep(5).render()\n"
+        "print(hashlib.md5(text.encode('ascii')).hexdigest())\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    )
+    digest, maxrss_kib = run.stdout.split()
+    assert digest == SWEEP5_MD5
+    assert int(maxrss_kib) / 1024 < 140
 
 
 def test_violation_lines_name_the_representative_and_its_orbit(monkeypatch):
