@@ -52,6 +52,8 @@ def bits(mask: int) -> Iterable[int]:
     for masks below 2**10, a generator for larger ones."""
     if 0 <= mask < len(_BITS):
         return _BITS[mask]
+    if mask < 0:
+        raise ValueError(f"negative mask {mask}")
     return _bits_loop(mask)
 
 
@@ -91,9 +93,10 @@ class cached(functools.cached_property):
 
 
 class Frozen:
-    """An immutable value.  A subclass checks its arguments, then Frozen.__init__
-    sets each field named in _fields, and their tuple _key, with object.__setattr__,
-    as derived and cached set what they keep: inline on CPython 3.11, with no
+    """An immutable value.  A subclass makes each sequence argument a tuple,
+    so that the value hashes, and checks it; then Frozen.__init__ sets each
+    field named in _fields, and their tuple _key, with object.__setattr__, as
+    derived and cached set what they keep: inline on CPython 3.11, with no
     instance dict.  Equality (within one class) and hashing read _key."""
 
     _fields: tuple[str, ...] = ()
@@ -182,6 +185,7 @@ class FiniteSemigroup(Frozen):
     _fields = ("n", "table")
 
     def __init__(self, n: int, table: tuple[tuple[int, ...], ...]):
+        table = tuple(map(tuple, table))
         if n != len(table):
             raise MalformedTableError("carrier size does not match table")
         bad = verify_semigroup(table)
@@ -191,7 +195,7 @@ class FiniteSemigroup(Frozen):
 
     @classmethod
     def from_rows(cls, rows) -> "FiniteSemigroup":
-        return cls(len(rows), tuple(tuple(row) for row in rows))
+        return cls(len(rows), rows)
 
     @property
     def is_band(self) -> bool:
@@ -217,7 +221,7 @@ class FiniteSemilattice(FiniteSemigroup):
 
     def __init__(self, n: int, table: tuple[tuple[int, ...], ...]):
         super().__init__(n, table)  # associativity
-        bad = _idempotent_commutative_failures(table)
+        bad = _idempotent_commutative_failures(self.table)
         if bad:
             law, witness = bad[0]
             raise NotASemilatticeError(f"{law} law fails at {witness}")
@@ -230,6 +234,7 @@ class FinitePoset(Frozen):
     _fields = ("n", "up")
 
     def __init__(self, n: int, up: tuple[int, ...]):
+        up = tuple(up)
         if len(up) != n:
             raise ValueError("relation size does not match carrier")
         full = full_mask(n)

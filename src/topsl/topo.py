@@ -40,6 +40,7 @@ class FiniteTopology(Frozen):
     _fields = ("n", "minimal")
 
     def __init__(self, n: int, minimal: tuple[int, ...]):
+        minimal = tuple(minimal)
         if len(minimal) != n:
             raise ValueError(f"{len(minimal)} minimal neighbourhoods for {n} points")
         full = full_mask(n)

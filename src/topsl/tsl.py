@@ -71,6 +71,7 @@ class ContinuousHom(Frozen):
     def __init__(
         self, source: TopologizedSemigroup, target: TopologizedSemigroup, mapping
     ):
+        mapping = tuple(mapping)
         if len(mapping) != source.n:
             raise ValueError("mapping length does not match source carrier")
         if any(not 0 <= v < target.n for v in mapping):

@@ -417,16 +417,6 @@ def _all_equal(label: str, values_of: Callable[[InstanceContext], tuple]):
     return check
 
 
-def _submasks(mask: int):
-    """Nonempty submasks of a bitmask, ascending."""
-    out = []
-    s = mask
-    while s:
-        out.append(s)
-        s = (s - 1) & mask
-    return sorted(out)
-
-
 def _check_diagram(pairs):
     def check(ctx: InstanceContext) -> list[str]:
         out = []
@@ -497,7 +487,9 @@ def _check_maxchain_extrema(alg: FiniteSemigroup) -> list[str]:
     poset, chains = _order_of(alg)
     out = []
     for m in chains:
-        for c in _submasks(m):
+        for c in range(1, m + 1):
+            if c & ~m:  # not within the chain
+                continue
             lo = bound_extremum(poset, c, "inf")
             hi = bound_extremum(poset, c, "sup")
             if lo is None or not m >> lo & 1:
@@ -952,36 +944,24 @@ def instance_classes(n_max: int) -> list[tuple[tsl.TopologizedSemigroup, int]]:
 
 
 class SweepMemo:
-    """What one sweep computes once: the comparison report of each distinct
-    instance, and the order data and per-table rule details of each distinct
-    semilattice table, derived (core.derived) on the one algebra object the
-    memo keeps for that table.
-
-    Owned by one sweep() call and dropped when it returns.  The shards of a
-    threaded sweep share it.  Each table's classes lie in one shard, so what
-    is derived per table is decided once; two shards that miss the same
-    comparison at once (a sub-instance shared by two tables) both compute
-    it, and the equal results make the race harmless.  The sub phase's memo
-    of one table is not here: each shard keeps its own.
-    """
+    """The comparison report of each distinct instance of one sweep() call,
+    computed once and kept until its last reader is done: the phases run
+    first, and the loop drops each report of a class with n = n_max once
+    the class is evaluated (sweep).  The shards of a threaded sweep share
+    it; two that miss the same comparison at once (a sub-instance shared by
+    two tables) both compute it, and the equal results make the race
+    harmless.  Order data is derived (core.derived) on each algebra object,
+    which the classes of one table share."""
 
     def __init__(self):
-        self.algebras: dict = {}
         self.comparisons: dict = {}
-
-    def instance(self, inst: tsl.TopologizedSemigroup) -> tsl.TopologizedSemigroup:
-        """inst on the algebra object this memo keeps for its table."""
-        alg = self.algebras.setdefault(inst.algebra, inst.algebra)
-        if alg is inst.algebra:
-            return inst
-        return tsl.TopologizedSemigroup(alg, inst.topology)
 
     def comparison(self, inst: tsl.TopologizedSemigroup) -> weak.ComparisonReport:
         comp = self.comparisons.get(inst)
         if comp is None:
             # through the module attribute, so that a wrapper sees each
             # computation that is not a hit
-            comp = weak.topology_comparison(self.instance(inst))
+            comp = weak.topology_comparison(inst)
             self.comparisons[inst] = comp
         return comp
 
@@ -1009,7 +989,6 @@ def _evaluate_instance(
     has them.  stats holds the tallies (rule id -> RuleStats) to add to, and
     is returned.  sub_reports is the sub phase's memo for inst's table; a
     call without one starts its own."""
-    inst = memo.instance(inst)
     comp = memo.comparison(inst)
     pv = props.property_vector(inst, comp).as_dict()
     poset, chains = _order_of(inst.algebra)
@@ -1139,13 +1118,17 @@ def _product_phase(classes, rule_ids, stats, memo) -> None:
     included.  Any product of members of two orbits is isomorphic to the
     representatives' product, so a pair of two classes counts w_a*w_b times
     and a class with itself w*(w+1)/2 times, as many as the unordered
-    labeled pairs."""
+    labeled pairs.  Each product table gets one algebra object, on which its
+    order data is derived (core.derived) once."""
     comps = [memo.comparison(x) for x, _ in classes]
     factors_ok = [_factors_hypothesis(x, comp) for (x, _), comp in zip(classes, comps)]
+    algebras: dict = {}
     for (ia, (a, wa)), (ib, (b, wb)) in itertools.combinations_with_replacement(
         enumerate(classes), 2
     ):
-        comp_p = memo.comparison(product_instance(a, b))
+        p = product_instance(a, b)
+        alg = algebras.setdefault(p.algebra, p.algebra)
+        comp_p = memo.comparison(tsl.TopologizedSemigroup(alg, p.topology))
         ok = factors_ok[ia] and factors_ok[ib]
         audit = _audit_product(comps[ia], comps[ib], comp_p, ok)
         weight = wa * (wa + 1) // 2 if ia == ib else wa * wb
@@ -1180,19 +1163,23 @@ def _main_conditions(inst, comp) -> tuple:
     )
 
 
-def _main_phase(n_max: int, stats, memo) -> None:
+def _main_phase(classes, n_max: int, stats, memo) -> None:
     """Fifteen-way equivalence on finite discrete instances, which are
     exactly the compact Hausdorff ones, with n <= max(n_max, 4).  Every
     permutation fixes the discrete topology, so each semilattice class
-    counts n!/|Aut(S)| times."""
-    for n in range(1, max(n_max, 4) + 1):
-        disc = topo.discrete(n)
-        for sl, aut in semilattice_classes(n):
-            inst = memo.instance(tsl.TopologizedSemigroup(sl, disc))
-            weight = math.factorial(n) // len(aut)
-            values = _main_conditions(inst, memo.comparison(inst))
-            line = f"{_where(inst, weight)} :: conditions disagree: {values}"
-            _tally(stats, None, MAIN_RULE_ID, len(set(values)) == 1, weight, [line])
+    counts n!/|Aut(S)| times: for n <= n_max, its discrete class among
+    classes has that weight."""
+    disc = {n: topo.discrete(n) for n in range(1, max(n_max, 4) + 1)}
+    reps = [(x, weight) for x, weight in classes if x.topology == disc[x.n]]
+    for n in range(n_max + 1, 5):
+        reps += [
+            (tsl.TopologizedSemigroup(sl, disc[n]), math.factorial(n) // len(aut))
+            for sl, aut in semilattice_classes(n)
+        ]
+    for inst, weight in reps:
+        values = _main_conditions(inst, memo.comparison(inst))
+        line = f"{_where(inst, weight)} :: conditions disagree: {values}"
+        _tally(stats, None, MAIN_RULE_ID, len(set(values)) == 1, weight, [line])
 
 
 def _table_chunks(classes, parts: int) -> list:
@@ -1248,9 +1235,9 @@ def sweep(
     the same way, weighted as _hom_phase and _product_phase say.
     Deterministic for any thread count: per-instance results are merged
     commutatively and violation lists sorted at render time.  Each
-    comparison report is computed once per distinct instance and each order
-    quantity once per semilattice table; nothing is kept after the call
-    returns."""
+    comparison report is computed once per distinct instance (SweepMemo)
+    and each order quantity once per algebra object; nothing is kept after
+    the call returns."""
     if not 1 <= n_max <= SWEEP_MAX:
         raise ValueError(f"sweep supports n_max in 1..{SWEEP_MAX}, got {n_max}")
     if threads < 1:
@@ -1265,6 +1252,14 @@ def sweep(
     classes = instance_classes(n_max)
     stats: dict = {}
     memo = SweepMemo()
+    # the phases first, so that the loop finds the reports they computed
+    small = [(x, weight) for x, weight in classes if x.n <= 2]
+    if any(_want(rule_ids, rid) for rid in HOM_RULE_IDS):
+        _hom_phase(small, rule_ids, stats, memo)
+    if any(_want(rule_ids, rid) for rid in PRODUCT_RULE_IDS):
+        _product_phase(small, rule_ids, stats, memo)
+    if _want(rule_ids, MAIN_RULE_ID):
+        _main_phase(classes, n_max, stats, memo)
 
     def run_shard(chunk) -> dict:
         partial: dict = {}
@@ -1274,6 +1269,10 @@ def sweep(
             if inst.algebra != table:
                 table, sub_reports = inst.algebra, {}
             _evaluate_instance(inst, rule_ids, memo, weight, partial, sub_reports)
+            if inst.n == n_max:
+                # its own sub phase, through the whole carrier, read the
+                # report last: sub-instances are smaller, the phases done
+                del memo.comparisons[inst]
         return partial
 
     chunks = _table_chunks(classes, threads)
@@ -1286,14 +1285,6 @@ def sweep(
     for partial in shards:
         for rule_id, rs in partial.items():
             stats.setdefault(rule_id, RuleStats()).merge(rs)
-
-    small = [(x, weight) for x, weight in classes if x.n <= 2]
-    if any(_want(rule_ids, rid) for rid in HOM_RULE_IDS):
-        _hom_phase(small, rule_ids, stats, memo)
-    if any(_want(rule_ids, rid) for rid in PRODUCT_RULE_IDS):
-        _product_phase(small, rule_ids, stats, memo)
-    if _want(rule_ids, MAIN_RULE_ID):
-        _main_phase(n_max, stats, memo)
     return SweepReport(n_max, sum(weight for _, weight in classes), stats)
 
 

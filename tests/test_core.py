@@ -51,6 +51,14 @@ def test_bitmask_helpers():
     assert list(subsets(2)) == [0, 1, 2, 3]
 
 
+def test_bits_rejects_a_negative_mask():
+    # -1 has every bit set in two's complement: walking it never ends
+    with pytest.raises(ValueError, match="negative mask -1"):
+        bits(-1)
+    with pytest.raises(ValueError, match="negative mask"):
+        bound_extremum(natural_order(DIAMOND), -1, "sup")
+
+
 def test_verify_semigroup_reports_witness():
     # x*y = x+y capped at 1 on {0,1,2}... not associative in general
     table = [[0, 1, 1], [1, 2, 2], [1, 2, 2]]
@@ -253,6 +261,19 @@ def test_validated_types_are_immutable_values():
     # equal only within one class, as dataclass equality is
     assert FiniteSemigroup(2, table) != FiniteSemilattice(2, table)
     assert FiniteSemilattice(2, table) != FiniteSemigroup(2, table)
+
+
+def test_values_built_from_lists_hash_and_equal_their_tuple_twins():
+    x = tsl.TopologizedSemigroup(FiniteSemilattice(2, ((0, 0), (0, 1))), topo.discrete(2))
+    pairs = [
+        (topo.FiniteTopology(2, [1, 2]), topo.FiniteTopology(2, (1, 2))),
+        (FiniteSemilattice(2, [[0, 0], [0, 1]]), FiniteSemilattice(2, ((0, 0), (0, 1)))),
+        (FinitePoset(2, [3, 2]), FinitePoset(2, (3, 2))),
+        (tsl.ContinuousHom(x, x, [0, 1]), tsl.ContinuousHom(x, x, (0, 1))),
+    ]
+    for from_lists, from_tuples in pairs:
+        assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+        assert repr(from_lists) == repr(from_tuples)
 
 
 @pytest.mark.skipif(

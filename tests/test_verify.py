@@ -146,19 +146,44 @@ def test_sweep_computes_each_bundle_once_per_call(monkeypatch):
             return original(x)
 
         monkeypatch.setattr(weak, name, counted)
-    verify.sweep(3)
-    # 66 distinct instances over 12 distinct semilattice tables: the 52 class
-    # representatives and their sub-instances, the products of the n <= 2
-    # class representatives, and the discrete main-phase representatives
-    assert counts["topology_comparison"] == 66
-    assert counts["scott_topology"] <= 12
-    # no memo outlives a call: neither the reports nor the order data
-    # derived on the sweep's algebra objects, so a second sweep redoes all
-    # of it (a leak from the first would show as fewer Scott calls)
-    first = dict(counts)
-    counts["topology_comparison"] = counts["scott_topology"] = 0
-    verify.sweep(3)
-    assert counts == first
+    # at n_max = 4, 8 product lookups hit reports of 4-point classes, which
+    # the loop drops after use: the phases must run before it
+    for n_max, comparisons, scott_max in ((3, 66, 12), (4, 1268, 13)):
+        counts["topology_comparison"] = counts["scott_topology"] = 0
+        verify.sweep(n_max)
+        # one per distinct instance: the class representatives and their
+        # sub-instances, the products of the n <= 2 class representatives,
+        # and the discrete main-phase representatives (66 over 9 tables at
+        # n_max = 3).  Order data is derived once per algebra object, and
+        # sub-algebras and products bring a few objects of their own
+        assert counts["topology_comparison"] == comparisons
+        assert counts["scott_topology"] <= scott_max
+        # no memo outlives a call: neither the reports nor the order data
+        # derived on the sweep's algebra objects, so a second sweep redoes
+        # all of it (a leak from the first would show as fewer Scott calls)
+        first = dict(counts)
+        counts["topology_comparison"] = counts["scott_topology"] = 0
+        verify.sweep(n_max)
+        assert counts == first
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_sweep_drops_each_top_class_report_after_its_last_reader(monkeypatch, threads):
+    memos = []
+
+    class KeptMemo(verify.SweepMemo):
+        def __init__(self):
+            super().__init__()
+            memos.append(self)
+
+    monkeypatch.setattr(verify, "SweepMemo", KeptMemo)
+    verify.sweep(4, threads=threads)
+    (memo,) = memos
+    top = [x for x, _ in verify.instance_classes(4) if x.n == 4]
+    assert len(top) == 1203
+    assert not any(x in memo.comparisons for x in top)
+    # smaller classes stay: other tables meet them again as sub-instances
+    assert any(x.n == 3 for x in memo.comparisons)
 
 
 def test_sweep_never_reads_the_inclusion_matrix(monkeypatch):
@@ -286,8 +311,9 @@ SWEEP5_MD5 = "d1cde073657ba9acd757878c09c3a877"
 )
 def test_sweep5_render_and_peak_memory():
     """sweep(5), in a fresh isolated interpreter with SWEEP_MAX raised to 5
-    there only, renders the known output and peaks under 140 MiB (about
-    127 MiB with inline Frozen fields, 168 MiB with a dict per value)."""
+    there only, renders the known output and peaks under 75 MiB: about
+    51 MiB once each 5-point class report is dropped after its last reader,
+    127 MiB with every report kept to the end."""
     src = str(pathlib.Path(verify.__file__).resolve().parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r})\n"
@@ -303,7 +329,7 @@ def test_sweep5_render_and_peak_memory():
     )
     digest, maxrss_kib = run.stdout.split()
     assert digest == SWEEP5_MD5
-    assert int(maxrss_kib) / 1024 < 140
+    assert int(maxrss_kib) / 1024 < 75
 
 
 def test_violation_lines_name_the_representative_and_its_orbit(monkeypatch):
