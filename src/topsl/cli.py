@@ -20,11 +20,11 @@ from .core import (
     FinitePoset,
     FiniteSemigroup,
     FiniteSemilattice,
+    MalformedTableError,
+    NotASemilatticeError,
     bits,
     mask_of,
     natural_order,
-    verify_semigroup,
-    verify_semilattice,
 )
 
 SCHEMA_VERSION = 1
@@ -44,10 +44,14 @@ class InstanceFormatError(ValueError):
 
 
 class InstanceDocument(NamedTuple):
-    schema_version: int
+    """A well-formed instance file, its names resolved to indices: `table`
+    holds int rows and `opens` the bitmask of each listed open set, in the
+    file's order.  Whether the table and the opens satisfy their laws is
+    left to document_to_instance."""
+
     elements: tuple[str, ...]
-    table: tuple[tuple[str, ...], ...]
-    opens: tuple[frozenset, ...]
+    table: tuple[tuple[int, ...], ...]
+    opens: tuple[int, ...]
     is_meet: bool
 
 
@@ -55,10 +59,21 @@ def _set_label(names) -> str:
     return "{" + ", ".join(sorted(names)) + "}"
 
 
+def _resolve(index: dict, names, where) -> list[int]:
+    """The index of each name; where(k) says where an unknown k-th name is."""
+    out = []
+    for k, v in enumerate(names):
+        i = index.get(v) if isinstance(v, str) else None
+        if i is None:
+            raise InstanceFormatError(f"unknown name {v!r} {where(k)}")
+        out.append(i)
+    return out
+
+
 def parse_document(text: str) -> InstanceDocument:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise InstanceFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InstanceFormatError("document must be a JSON object")
@@ -85,15 +100,14 @@ def parse_document(text: str) -> InstanceDocument:
     if table is None:
         raise InstanceFormatError("missing operation table (key 'meet' or 'op')")
     n = len(elements)
-    known = set(elements)
+    index = {name: i for i, name in enumerate(elements)}
     if not isinstance(table, list) or len(table) != n:
         raise InstanceFormatError(f"operation table must have {n} rows")
+    rows = []
     for x, row in enumerate(table):
         if not isinstance(row, list) or len(row) != n:
             raise InstanceFormatError(f"table row {x} must have {n} entries")
-        for y, v in enumerate(row):
-            if not isinstance(v, str) or v not in known:
-                raise InstanceFormatError(f"unknown name {v!r} at table[{x}][{y}]")
+        rows.append(tuple(_resolve(index, row, lambda y: f"at table[{x}][{y}]")))
     opens_raw = raw.get("opens")
     if not isinstance(opens_raw, list):
         raise InstanceFormatError("opens must be a list of lists of names")
@@ -101,71 +115,37 @@ def parse_document(text: str) -> InstanceDocument:
     for i, u in enumerate(opens_raw):
         if not isinstance(u, list):
             raise InstanceFormatError(f"open set {i} must be a list of names")
-        for v in u:
-            if not isinstance(v, str) or v not in known:
-                raise InstanceFormatError(f"unknown name {v!r} in open set {i}")
-        opens.append(frozenset(u))
-    return InstanceDocument(
-        SCHEMA_VERSION,
-        tuple(elements),
-        tuple(tuple(row) for row in table),
-        tuple(opens),
-        is_meet,
-    )
+        opens.append(mask_of(_resolve(index, u, lambda _: f"in open set {i}")))
+    return InstanceDocument(tuple(elements), tuple(rows), tuple(opens), is_meet)
 
 
 def document_to_instance(doc: InstanceDocument) -> tsl.TopologizedSemigroup:
-    index = {name: i for i, name in enumerate(doc.elements)}
-    n = len(doc.elements)
-    table = tuple(tuple(index[v] for v in row) for row in doc.table)
+    """The instance a document describes.  Its constructors check every law
+    and name the first failure; this only words their witness with the
+    document's element names."""
+    names, n = doc.elements, len(doc.elements)
     try:
-        algebra = (FiniteSemilattice if doc.is_meet else FiniteSemigroup)(n, table)
-    except ValueError:
-        # the constructor checks every law; scan again only to word the
-        # failure, associativity before the other semilattice laws
-        if doc.is_meet:
-            failures = verify_semilattice(table)
-        else:
-            failures = [("associative", t) for t in verify_semigroup(table)]
-        associative = [w for law, w in failures if law == "associative"]
-        if associative:
-            x, y, z = associative[0]
-            names = doc.elements
+        algebra = (FiniteSemilattice if doc.is_meet else FiniteSemigroup)(n, doc.table)
+    except (MalformedTableError, NotASemilatticeError) as exc:
+        if exc.law == "associative":
+            x, y, z = exc.witness
             raise InstanceFormatError(
                 f"table is not associative at ({names[x]}, {names[y]}, {names[z]})"
             )
-        if failures:
-            law, witness = failures[0]
-            raise InstanceFormatError(f"meet table fails the {law} law at {witness}")
+        if exc.law is not None:
+            raise InstanceFormatError(
+                f"meet table fails the {exc.law} law at {exc.witness}"
+            )
         raise
-
-    masks = [mask_of(index[v] for v in u) for u in doc.opens]
-    present = set(masks)
-    if 0 not in present:
-        raise InstanceFormatError("missing empty set")
-    if mask_of(range(n)) not in present:
-        raise InstanceFormatError("missing full set")
-
     try:
-        top = topo.canonical(n, masks)
-    except ValueError:
-        # the family is not closed under union and intersection; name the
-        # first missing union or intersection of two listed opens
-        def label(mask: int) -> str:
-            return _set_label(doc.elements[i] for i in bits(mask))
-
-        for a in masks:
-            for b in masks:
-                if a | b not in present:
-                    raise InstanceFormatError(
-                        f"missing union of {label(a)} and {label(b)}: {label(a | b)}"
-                    )
-                if a & b not in present:
-                    raise InstanceFormatError(
-                        f"missing intersection of {label(a)} and {label(b)}: "
-                        f"{label(a & b)}"
-                    )
-        raise
+        top = topo.canonical(n, doc.opens)
+    except ValueError as exc:
+        if not hasattr(exc, "missing"):  # the empty or the full set
+            raise InstanceFormatError(str(exc))
+        kind, a, b = exc.missing
+        c = a | b if kind == "union" else a & b
+        a, b, c = (_set_label(names[i] for i in bits(m)) for m in (a, b, c))
+        raise InstanceFormatError(f"missing {kind} of {a} and {b}: {c}")
     return tsl.TopologizedSemigroup(algebra, top)
 
 
@@ -350,7 +330,10 @@ def _cmd_derive(args) -> int:
         if args.subbase is None:
             print("error: --topology generated requires --subbase", file=sys.stderr)
             return USAGE_EXIT
-        raw = json.loads(_read_file(args.subbase))
+        try:
+            raw = json.loads(_read_file(args.subbase))
+        except RecursionError as exc:  # too deeply nested; main reports ValueError
+            raise ValueError(str(exc)) from None
         if not isinstance(raw, list) or not all(
             isinstance(u, list) and all(isinstance(v, str) for v in u) for u in raw
         ):
@@ -360,11 +343,7 @@ def _cmd_derive(args) -> int:
             )
             return VALIDATION_EXIT
         index = {name: i for i, name in enumerate(names)}
-        try:
-            seeds = [mask_of(index[v] for v in u) for u in raw]
-        except KeyError as exc:
-            print(f"error: unknown name {exc} in subbase", file=sys.stderr)
-            return VALIDATION_EXIT
+        seeds = [mask_of(_resolve(index, u, lambda _: "in subbase")) for u in raw]
         out["generated"] = _opens_as_names(
             topo.generate_topology(inst.n, seeds), names
         )

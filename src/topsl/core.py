@@ -12,8 +12,18 @@ import itertools
 from typing import Iterable, Iterator, Optional
 _set = object.__setattr__  # looked up once, not per Frozen field
 
+
+def _law_error_init(self, message: str, law=None, witness=None):
+    """A table law's error keeps the law that fails and its first witness."""
+    ValueError.__init__(self, message)
+    self.law, self.witness = law, witness
+
+
 class MalformedTableError(ValueError):
-    """Operation table has the wrong shape or an out-of-range entry."""
+    """Operation table has the wrong shape or an out-of-range entry, or is
+    not associative: law "associative", witness the first (x, y, z)."""
+
+    __init__ = _law_error_init
 
 
 class NotABandError(ValueError):
@@ -21,7 +31,10 @@ class NotABandError(ValueError):
 
 
 class NotASemilatticeError(ValueError):
-    """An operation requiring a semilattice got something weaker."""
+    """An operation requiring a semilattice got something weaker; from the
+    FiniteSemilattice constructor, law "idempotent" or "commutative"."""
+
+    __init__ = _law_error_init
 
 
 def full_mask(n: int) -> int:
@@ -158,27 +171,6 @@ def verify_semigroup(table) -> list[tuple[int, int, int]]:
     ]
 
 
-def _idempotent_commutative_failures(table) -> list[tuple[str, tuple[int, ...]]]:
-    """Failed idempotent and commutative laws, each with a witness tuple."""
-    n = _check_shape(table)
-    failures: list[tuple[str, tuple[int, ...]]] = []
-    for x in range(n):
-        if table[x][x] != x:
-            failures.append(("idempotent", (x,)))
-    for x in range(n):
-        for y in range(x + 1, n):
-            if table[x][y] != table[y][x]:
-                failures.append(("commutative", (x, y)))
-    return failures
-
-
-def verify_semilattice(table) -> list[tuple[str, tuple[int, ...]]]:
-    """Failed semilattice laws, each with a witness tuple."""
-    failures = _idempotent_commutative_failures(table)
-    failures.extend(("associative", t) for t in verify_semigroup(table))
-    return failures
-
-
 class FiniteSemigroup(Frozen):
     """An associative operation table over the carrier 0..n-1."""
 
@@ -190,7 +182,9 @@ class FiniteSemigroup(Frozen):
             raise MalformedTableError("carrier size does not match table")
         bad = verify_semigroup(table)
         if bad:
-            raise MalformedTableError(f"operation is not associative, e.g. at {bad[0]}")
+            raise MalformedTableError(
+                f"operation is not associative, e.g. at {bad[0]}", "associative", bad[0]
+            )
         Frozen.__init__(self, n, table)
 
     @classmethod
@@ -220,11 +214,17 @@ class FiniteSemilattice(FiniteSemigroup):
     """A commutative idempotent (associative) operation table."""
 
     def __init__(self, n: int, table: tuple[tuple[int, ...], ...]):
-        super().__init__(n, table)  # associativity
-        bad = _idempotent_commutative_failures(self.table)
+        super().__init__(n, table)  # associativity first
+        t = self.table
+        bad = [("idempotent", (x,)) for x in range(n) if t[x][x] != x] or [
+            ("commutative", (x, y))
+            for x in range(n)
+            for y in range(x + 1, n)
+            if t[x][y] != t[y][x]
+        ]
         if bad:
             law, witness = bad[0]
-            raise NotASemilatticeError(f"{law} law fails at {witness}")
+            raise NotASemilatticeError(f"{law} law fails at {witness}", law, witness)
 
 
 class FinitePoset(Frozen):

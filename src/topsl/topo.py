@@ -8,8 +8,9 @@ equality and hashing are those of the tuple.  Any tuple of sets with x in
 M_x and M_y within M_x for every y in M_x (a preorder) is the `minimal` of
 exactly one topology.  The ascending tuple of open sets, `opens`, is derived
 on first use; `canonical` builds a topology from an open-set family and
-checks that the family is one.  Generation, subspaces, products, closure
-and interior all work from `minimal`.
+checks that the family is one, naming a missing union or intersection.
+Generation, subspaces, products, closure and interior all work from
+`minimal`.
 """
 
 from __future__ import annotations
@@ -84,11 +85,14 @@ class FiniteTopology(Frozen):
 
 def canonical(n: int, opens) -> FiniteTopology:
     """The topology whose open sets are exactly the given family, which may
-    come in any order and with repeats.  The family's M_x are the ANDs of
-    its members; it is a topology exactly when it holds each M_x and its
-    members are the unions of the M_x.  Raises ValueError naming a missing
-    set.  oracles.saturate_family closes a family pair by pair."""
-    family = frozenset(opens)
+    come in any order and with repeats: the family's M_x are the ANDs of its
+    members, and it is a topology iff its members are the unions of the M_x.
+    Raises ValueError naming a missing empty or full set, else the first
+    listed pair (a, b) that lacks its union or else its intersection; that
+    error's `missing` is ("union" or "intersection", a, b).
+    oracles.saturate_family closes a family pair by pair."""
+    listed = tuple(opens)
+    family = frozenset(listed)
     full = full_mask(n)
     if 0 not in family:
         raise ValueError("missing empty set")
@@ -98,16 +102,18 @@ def canonical(n: int, opens) -> FiniteTopology:
         if u & ~full:
             raise ValueError(f"open set {u:#x} leaves the carrier")
     top = FiniteTopology(n, _minimal(n, family))
-    for x, m in enumerate(top.minimal):
-        if m not in family:
-            raise ValueError(f"missing intersection {m:#x} of the open sets around {x}")
     if top._open_set != family:
-        # each member is the union of the M_x of its points, so the passes
-        # found every member; they also found u | M_x for some member u
-        u, m = next(
-            (u, m) for u in sorted(family) for m in top.minimal if u | m not in family
+        # a family with the empty and full sets, closed pairwise, is one
+        kind, a, b = next(
+            (kind, a, b)
+            for a in listed
+            for b in listed
+            for kind, c in (("union", a | b), ("intersection", a & b))
+            if c not in family
         )
-        raise ValueError(f"missing union of {u:#x} and {m:#x}")
+        err = ValueError(f"missing {kind} of {a:#x} and {b:#x}")
+        err.missing = (kind, a, b)
+        raise err
     return top
 
 

@@ -1,11 +1,17 @@
+import contextlib
+import io
+import itertools
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import threading
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from topsl import cli, core, oracles, props, topo, tsl, verify, weak
 from topsl.core import FinitePoset, FiniteSemilattice, bits, natural_order
@@ -420,16 +426,18 @@ def test_check_scans_associativity_once(key, tmp_path, capsys, monkeypatch):
         return real(table)
 
     monkeypatch.setattr(core, "verify_semigroup", counting)
-    monkeypatch.setattr(cli, "verify_semigroup", counting)
-    doc = _meet_doc([[0, 0, 0], [0, 1, 0], [0, 0, 2]])
-    doc[key] = doc.pop("meet")
     path = tmp_path / "x.json"
-    path.write_text(json.dumps(doc))
-    assert cli.main(["check", str(path)]) == 0
-    capsys.readouterr()
-    # the FiniteSemigroup constructor's scan; document_to_instance scans
-    # again only to word a failure
-    assert len(calls) == 1
+    # a semilattice, then a table that is not associative at (a, a, a)
+    tables = [[0, 0, 0], [0, 1, 0], [0, 0, 2]], [[1, 0, 2], [2, 1, 0], [0, 0, 2]]
+    for table, code in zip(tables, (0, cli.VALIDATION_EXIT)):
+        calls.clear()
+        doc = _meet_doc(table)
+        doc[key] = doc.pop("meet")
+        path.write_text(json.dumps(doc))
+        assert cli.main(["check", str(path)]) == code
+        capsys.readouterr()
+        # the FiniteSemigroup constructor's scan, which also names the witness
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -449,6 +457,171 @@ def test_table_error_messages(key, table, message):
     with pytest.raises(cli.InstanceFormatError) as exc:
         cli.parse_instance(json.dumps(doc))
     assert str(exc.value) == message
+
+
+def _expected_error(names, key, table, opens):
+    """The message parsing must raise, or None, by the documented rule: the
+    first failing table law (associativity at the first (x, y, z), then for
+    `meet` idempotence, then commutativity), then a missing empty or full
+    set, then the first listed pair of opens whose union, else whose
+    intersection, is not listed."""
+    n = len(names)
+    rng = range(n)
+
+    def label(mask):
+        return "{" + ", ".join(sorted(names[i] for i in rng if mask >> i & 1)) + "}"
+
+    for x, y, z in itertools.product(rng, repeat=3):
+        if table[table[x][y]][z] != table[x][table[y][z]]:
+            return f"table is not associative at ({names[x]}, {names[y]}, {names[z]})"
+    if key == "meet":
+        for x in rng:
+            if table[x][x] != x:
+                return f"meet table fails the idempotent law at ({x},)"
+        for x, y in itertools.combinations(rng, 2):
+            if table[x][y] != table[y][x]:
+                return f"meet table fails the commutative law at ({x}, {y})"
+    if 0 not in opens:
+        return "missing empty set"
+    if (1 << n) - 1 not in opens:
+        return "missing full set"
+    for a, b in itertools.product(opens, repeat=2):
+        if a | b not in opens:
+            return f"missing union of {label(a)} and {label(b)}: {label(a | b)}"
+        if a & b not in opens:
+            return f"missing intersection of {label(a)} and {label(b)}: {label(a & b)}"
+    return None
+
+
+def _error_corpus():
+    """(names, key, table, opens) for every one-entry corruption of every
+    semilattice table with n <= 3, under `meet` and `op`, and for every
+    family of subsets with n <= 3 in up to four distinct listed orders."""
+    corpus = []
+    for n in (1, 2, 3):
+        names = ["b", "c", "a"][:n]  # labels sort names, not indices
+        full = (1 << n) - 1
+        for sl in verify.enumerate_semilattices(n):
+            for x, y in itertools.product(range(n), repeat=2):
+                for v in range(n):
+                    if v != sl.table[x][y]:
+                        table = [list(row) for row in sl.table]
+                        table[x][y] = v
+                        corpus += [(names, key, table, [0, full]) for key in ("meet", "op")]
+        chain = [[min(x, y) for y in range(n)] for x in range(n)]
+        weight = [bin(u).count("1") for u in range(1 << n)]
+        for pick in range(1 << (1 << n)):
+            family = [u for u in range(1 << n) if pick >> u & 1]
+            orders = {
+                tuple(family),
+                tuple(reversed(family)),
+                tuple(sorted(family, key=lambda u: (weight[u], u))),
+                tuple(sorted(family, key=lambda u: (-weight[u], u))),
+            }
+            corpus += [(names, "meet", chain, list(o)) for o in sorted(orders)]
+    return corpus
+
+
+def test_every_small_document_fails_by_the_documented_rule():
+    corpus = _error_corpus()
+    assert len(corpus) == 340 + 788
+    valid = 0
+    for names, key, table, opens in corpus:
+        doc = {
+            "schema_version": 1,
+            "elements": names,
+            key: [[names[v] for v in row] for row in table],
+            "opens": [[names[i] for i in bits(u)] for u in opens],
+        }
+        message = _expected_error(names, key, table, opens)
+        if message is None:
+            inst = cli.parse_instance(json.dumps(doc))
+            assert inst.algebra.table == tuple(map(tuple, table))
+            assert inst.topology.opens == tuple(sorted(set(opens)))
+            valid += 1
+            continue
+        with pytest.raises(cli.InstanceFormatError) as exc:
+            cli.parse_instance(json.dumps(doc))
+        assert str(exc.value) == message
+    assert valid == 149
+
+
+def _meet_closure(family):
+    family = set(family)
+    while True:
+        new = {a & b for a in family for b in family} - family
+        if not new:
+            return family
+        family |= new
+
+
+@st.composite
+def large_instances(draw):
+    """A semilattice with 6 to 8 points, past verify.ENUM_MAX, and the
+    topology generated by a random subbase.  Every finite semilattice is a
+    family of sets closed under intersection (x maps to its down-set), so
+    the family grows by drawn subsets of a 4-point set and is then indexed
+    in a drawn order."""
+    n = draw(st.integers(6, 8))
+    family = set()
+    for u in draw(st.lists(st.integers(0, 15), min_size=16, max_size=16)):
+        if len(family) >= n:
+            break
+        family = _meet_closure(family | {u})
+    assume(6 <= len(family) <= 8)
+    n = len(family)
+    members = draw(st.permutations(sorted(family)))
+    index = {u: i for i, u in enumerate(members)}
+    table = [[index[a & b] for b in members] for a in members]
+    subbase = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+    return tsl.TopologizedSemigroup(
+        FiniteSemilattice(n, table), topo.generate_topology(n, subbase)
+    )
+
+
+def _check_json_of(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp, "x.json")
+        path.write_text(text, encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["check", str(path), "--format", "json"]) == 0
+    return json.loads(out.getvalue())
+
+
+@settings(max_examples=30, deadline=None)
+@given(x=large_instances(), data=st.data())
+def test_round_trip_and_renaming_past_enum_max(x, data):
+    assert x.n > verify.ENUM_MAX
+    assert cli.parse_instance(cli.serialize(x)) == x
+    names = data.draw(
+        st.lists(st.text(min_size=1, max_size=4), min_size=x.n, max_size=x.n, unique=True)
+    )
+    renamed = cli.serialize(x, names)
+    assert cli.parse_instance(renamed) == x
+    rename = dict(zip([f"e{i}" for i in range(x.n)], names))
+    want = _check_json_of(cli.serialize(x))
+    for opens in want["topologies"].values():
+        opens[:] = [[rename[v] for v in u] for u in opens]
+    assert _check_json_of(renamed) == want
+
+
+def test_deeply_nested_json_exits_2_with_one_line(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)  # deeper than the decoder's recursion limit
+    good = tmp_path / "good.json"
+    good.write_text(doc_text())
+    subbase = ["--topology", "generated", "--subbase", str(deep)]
+    for argv in (
+        ["check", str(deep)],
+        ["export", str(deep)],
+        ["derive", str(deep)],
+        ["derive", str(good), *subbase],
+    ):
+        assert cli.main(argv) == cli.VALIDATION_EXIT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "recursion" in err and "Traceback" not in err
 
 
 def test_carrier_bound_is_checked_before_the_table(tmp_path, capsys):

@@ -21,7 +21,6 @@ from topsl.core import (
     natural_order,
     subsets,
     verify_semigroup,
-    verify_semilattice,
 )
 from topsl import topo, tsl, weak
 from topsl.oracles import ChainFlags, chain_and_directed
@@ -69,10 +68,12 @@ def test_verify_semigroup_reports_witness():
 
 
 def test_verify_semilattice_law_names():
-    failures = verify_semilattice([[0, 0], [1, 1]])
-    assert ("commutative", (0, 1)) in failures
-    failures = verify_semilattice([[1, 0], [0, 1]])
-    assert any(law == "idempotent" for law, _ in failures)
+    with pytest.raises(NotASemilatticeError) as exc:
+        FiniteSemilattice(2, [[0, 0], [1, 1]])
+    assert (exc.value.law, exc.value.witness) == ("commutative", (0, 1))
+    with pytest.raises(NotASemilatticeError) as exc:
+        FiniteSemilattice(2, [[1, 0], [0, 1]])
+    assert (exc.value.law, exc.value.witness) == ("idempotent", (0,))
 
 
 def test_malformed_tables_rejected():
