@@ -332,8 +332,8 @@ def _cmd_derive(args) -> int:
             return USAGE_EXIT
         try:
             raw = json.loads(_read_file(args.subbase))
-        except RecursionError as exc:  # too deeply nested; main reports ValueError
-            raise ValueError(str(exc)) from None
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+            raise InstanceFormatError(f"subbase is not valid JSON: {exc}") from None
         if not isinstance(raw, list) or not all(
             isinstance(u, list) and all(isinstance(v, str) for v in u) for u in raw
         ):

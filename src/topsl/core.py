@@ -82,8 +82,7 @@ def derived(value, fn):
 
     For the immutable algebras and posets of this package: what is derived
     from one never goes stale, and it is dropped together with the object,
-    so nothing outlives the values a caller holds.  Threads that race on the
-    same value may each compute it; the results are equal.
+    so nothing outlives the values a caller holds.
     """
     memo = getattr(value, "_derived", None)
     if memo is None:  # set inline, as cached sets its value

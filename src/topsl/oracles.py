@@ -294,7 +294,7 @@ def separation_profile_by_scan(top: topo.FiniteTopology) -> topo.SeparationProfi
     T1 by closed singletons, T2 by pairs of disjoint opens, discreteness by
     open singletons."""
     n = top.n
-    closed = top.closed_sets()
+    closed = [full_mask(n) ^ u for u in top.opens]
     t0 = all(
         any((c >> x & 1) != (c >> y & 1) for c in closed)
         for x, y in itertools.combinations(range(n), 2)
@@ -370,6 +370,27 @@ def is_continuous_by_preimages(
 ) -> bool:
     """tsl.is_continuous: the preimage of every open set is open."""
     return all(src.is_open(tsl.preimage(mapping, u, src.n)) for u in tgt.opens)
+
+
+def open_map_by_opens(src: topo.FiniteTopology, tgt: topo.FiniteTopology, mapping) -> bool:
+    """verify._is_open_map: the image of every open set is open."""
+    return all(tgt.is_open(tsl.image_mask(mapping, u)) for u in src.opens)
+
+
+def closed_map_by_closed_sets(
+    src: topo.FiniteTopology, tgt: topo.FiniteTopology, mapping
+) -> bool:
+    """verify._is_closed_map: the image of every closed set is closed."""
+    full = full_mask(src.n)
+    return all(tgt.is_closed(tsl.image_mask(mapping, full ^ u)) for u in src.opens)
+
+
+def embedding_by_traces(src: topo.FiniteTopology, tgt: topo.FiniteTopology, mapping) -> bool:
+    """verify._is_embedding: injective, and the preimages of the open sets
+    of tgt are exactly the open sets of src."""
+    if len(set(mapping)) != len(mapping):
+        return False
+    return {tsl.preimage(mapping, v, src.n) for v in tgt.opens} == set(src.opens)
 
 
 def translations_continuous_by_preimages(x_instance: tsl.TopologizedSemigroup) -> bool:

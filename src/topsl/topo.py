@@ -78,10 +78,6 @@ class FiniteTopology(Frozen):
     def is_closed(self, s: int) -> bool:
         return (full_mask(self.n) ^ s) in self._open_set
 
-    def closed_sets(self) -> tuple[int, ...]:
-        full = full_mask(self.n)
-        return tuple(sorted(full ^ u for u in self.opens))
-
 
 def canonical(n: int, opens) -> FiniteTopology:
     """The topology whose open sets are exactly the given family, which may

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import threading
 from typing import Callable, NamedTuple, Optional
 
 from . import props, topo, tsl, weak
@@ -40,7 +39,7 @@ ENUM_MAX = 5
 CANON_MAX = 6
 SWEEP_MAX = 4
 SEARCH_MAX = 3  # search walks labeled instances
-THREADS_MAX = 16  # a threaded sweep starts one thread per shard
+THREADS_MAX = 16  # accepted and checked; every sweep runs on the calling thread
 
 
 # ---------------------------------------------------------------------------
@@ -282,18 +281,32 @@ class FunctorialAudit(NamedTuple):
 
 
 def _is_open_map(src: topo.FiniteTopology, tgt: topo.FiniteTopology, mapping) -> bool:
-    return all(tgt.is_open(tsl.image_mask(mapping, u)) for u in src.opens)
+    """Every open set is a union of M_x and images keep unions, so the map
+    is open iff the image of each M_x is.  oracles.open_map_by_opens maps
+    every open set."""
+    return all(tgt.is_open(tsl.image_mask(mapping, m)) for m in src.minimal)
 
 
 def _is_closed_map(src: topo.FiniteTopology, tgt: topo.FiniteTopology, mapping) -> bool:
-    return all(tgt.is_closed(tsl.image_mask(mapping, c)) for c in src.closed_sets())
+    """Every closed set is the union of its points' closures, so the map is
+    closed iff the image of each point closure is.
+    oracles.closed_map_by_closed_sets maps every closed set."""
+    return all(
+        tgt.is_closed(tsl.image_mask(mapping, topo.closure(src, 1 << x)))
+        for x in range(src.n)
+    )
 
 
 def _is_embedding(src: topo.FiniteTopology, tgt: topo.FiniteTopology, mapping) -> bool:
+    """Injective, and the preimage of each M_f(x) is M_x: the preimages of
+    the open sets form the topology whose M_x those are.
+    oracles.embedding_by_traces compares every preimage of an open set."""
     if len(set(mapping)) != len(mapping):
         return False
-    traces = {tsl.preimage(mapping, v, src.n) for v in tgt.opens}
-    return traces == set(src.opens)
+    return all(
+        tsl.preimage(mapping, tgt.minimal[fx], src.n) == m
+        for fx, m in zip(mapping, src.minimal)
+    )
 
 
 def _audit_hom(a, b, da, db, mapping, b_subtopological: bool) -> FunctorialAudit:
@@ -851,11 +864,6 @@ class RuleStats:
             return NotImplemented
         return vars(self) == vars(other)
 
-    def merge(self, other: "RuleStats") -> None:
-        self.applied += other.applied
-        self.vacuous += other.vacuous
-        self.violations.extend(other.violations)
-
 
 class SweepReport:
     def __init__(self, n_max: int, instances_checked: int, rules: dict):
@@ -947,11 +955,8 @@ class SweepMemo:
     """The comparison report of each distinct instance of one sweep() call,
     computed once and kept until its last reader is done: the phases run
     first, and the loop drops each report of a class with n = n_max once
-    the class is evaluated (sweep).  The shards of a threaded sweep share
-    it; two that miss the same comparison at once (a sub-instance shared by
-    two tables) both compute it, and the equal results make the race
-    harmless.  Order data is derived (core.derived) on each algebra object,
-    which the classes of one table share."""
+    the class is evaluated (sweep).  Order data is derived (core.derived)
+    on each algebra object, which the classes of one table share."""
 
     def __init__(self):
         self.comparisons: dict = {}
@@ -1182,43 +1187,6 @@ def _main_phase(classes, n_max: int, stats, memo) -> None:
         _tally(stats, None, MAIN_RULE_ID, len(set(values)) == 1, weight, [line])
 
 
-def _table_chunks(classes, parts: int) -> list:
-    """classes cut into at most `parts` contiguous runs, each cut at the
-    table boundary nearest to an equal split, so that every table's classes
-    (and what is derived once per table) lie in one run."""
-    tables = [x.algebra for x, _ in classes]
-    n = len(tables)
-    between = [i for i in range(1, n) if tables[i] != tables[i - 1]]
-    ends = {
-        min(between, key=lambda i: abs(i * parts - k * n), default=n)
-        for k in range(1, parts)
-    }
-    bounds = [0, *sorted(ends | {n})]
-    return [classes[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
-def _run_threads(fn, args) -> list:
-    """[fn(a) for a in args], each call on its own thread.  The first error
-    in args order is raised once every thread has ended."""
-    results: list = [None] * len(args)
-
-    def run(k: int) -> None:
-        try:
-            results[k] = fn(args[k])
-        except BaseException as exc:  # raised again below, in the caller
-            results[k] = exc
-
-    workers = [threading.Thread(target=run, args=(k,)) for k in range(len(args))]
-    for w in workers:
-        w.start()
-    for w in workers:
-        w.join()
-    for r in results:
-        if isinstance(r, BaseException):
-            raise r
-    return results
-
-
 def sweep(
     n_max: int,
     rule_ids=None,
@@ -1232,12 +1200,11 @@ def sweep(
     isomorphism class and count it as many times as its labeled orbit has
     members; applied/vacuous counts and instances_checked are those of the
     labeled sweep.  The hom and product phases pair the classes with n <= 2
-    the same way, weighted as _hom_phase and _product_phase say.
-    Deterministic for any thread count: per-instance results are merged
-    commutatively and violation lists sorted at render time.  Each
-    comparison report is computed once per distinct instance (SweepMemo)
-    and each order quantity once per algebra object; nothing is kept after
-    the call returns."""
+    the same way, weighted as _hom_phase and _product_phase say.  The loop
+    runs on the calling thread at every thread count: threads is checked
+    (1..THREADS_MAX) and changes nothing else.  Each comparison report is
+    computed once per distinct instance (SweepMemo) and each order quantity
+    once per algebra object; nothing is kept after the call returns."""
     if not 1 <= n_max <= SWEEP_MAX:
         raise ValueError(f"sweep supports n_max in 1..{SWEEP_MAX}, got {n_max}")
     if threads < 1:
@@ -1260,31 +1227,17 @@ def sweep(
         _product_phase(small, rule_ids, stats, memo)
     if _want(rule_ids, MAIN_RULE_ID):
         _main_phase(classes, n_max, stats, memo)
-
-    def run_shard(chunk) -> dict:
-        partial: dict = {}
+    if any(_want(rule_ids, rid) for rid in INSTANCE_RULE_IDS):
         table, sub_reports = None, {}
-        for inst, weight in chunk:
+        for inst, weight in classes:
             # drop a table's sub reports on moving on to the next table
             if inst.algebra != table:
                 table, sub_reports = inst.algebra, {}
-            _evaluate_instance(inst, rule_ids, memo, weight, partial, sub_reports)
+            _evaluate_instance(inst, rule_ids, memo, weight, stats, sub_reports)
             if inst.n == n_max:
                 # its own sub phase, through the whole carrier, read the
                 # report last: sub-instances are smaller, the phases done
                 del memo.comparisons[inst]
-        return partial
-
-    chunks = _table_chunks(classes, threads)
-    if not any(_want(rule_ids, rid) for rid in INSTANCE_RULE_IDS):
-        shards = []
-    elif len(chunks) == 1:
-        shards = [run_shard(chunks[0])]
-    else:
-        shards = _run_threads(run_shard, chunks)
-    for partial in shards:
-        for rule_id, rs in partial.items():
-            stats.setdefault(rule_id, RuleStats()).merge(rs)
     return SweepReport(n_max, sum(weight for _, weight in classes), stats)
 
 

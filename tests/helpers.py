@@ -1,0 +1,40 @@
+"""Hypothesis strategies shared by the test modules."""
+
+from hypothesis import assume
+from hypothesis import strategies as st
+
+from topsl import topo, tsl
+from topsl.core import FiniteSemilattice
+
+
+def _meet_closure(family):
+    family = set(family)
+    while True:
+        new = {a & b for a in family for b in family} - family
+        if not new:
+            return family
+        family |= new
+
+
+@st.composite
+def large_instances(draw):
+    """A semilattice with 6 to 8 points, past verify.ENUM_MAX, and the
+    topology generated by a random subbase.  Every finite semilattice is a
+    family of sets closed under intersection (x maps to its down-set), so
+    the family grows by drawn subsets of a 4-point set and is then indexed
+    in a drawn order."""
+    n = draw(st.integers(6, 8))
+    family = set()
+    for u in draw(st.lists(st.integers(0, 15), min_size=16, max_size=16)):
+        if len(family) >= n:
+            break
+        family = _meet_closure(family | {u})
+    assume(6 <= len(family) <= 8)
+    n = len(family)
+    members = draw(st.permutations(sorted(family)))
+    index = {u: i for i, u in enumerate(members)}
+    table = [[index[a & b] for b in members] for a in members]
+    subbase = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+    return tsl.TopologizedSemigroup(
+        FiniteSemilattice(n, table), topo.generate_topology(n, subbase)
+    )

@@ -10,11 +10,13 @@ import tempfile
 import threading
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topsl import cli, core, oracles, props, topo, tsl, verify, weak
 from topsl.core import FinitePoset, FiniteSemilattice, bits, natural_order
+
+from helpers import large_instances
 
 SIERPINSKI_DOC = {
     "schema_version": 1,
@@ -251,6 +253,18 @@ def test_cmd_derive_rejects_malformed_subbase(raw, instance_file, tmp_path, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: subbase must be a list of lists")
+
+
+def test_cmd_derive_names_a_subbase_that_is_not_json(instance_file, tmp_path, capsys):
+    subbase = tmp_path / "subbase.json"
+    argv = ["derive", instance_file, "--topology", "generated", "--subbase", str(subbase)]
+    for text in ("[[", "[" * 100_000):  # truncated, and nested too deeply
+        subbase.write_text(text)
+        assert cli.main(argv) == cli.VALIDATION_EXIT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: subbase is not valid JSON: ")
+        assert captured.err.count("\n") == 1
 
 
 def test_cmd_enumerate(capsys):
@@ -544,39 +558,6 @@ def test_every_small_document_fails_by_the_documented_rule():
             cli.parse_instance(json.dumps(doc))
         assert str(exc.value) == message
     assert valid == 149
-
-
-def _meet_closure(family):
-    family = set(family)
-    while True:
-        new = {a & b for a in family for b in family} - family
-        if not new:
-            return family
-        family |= new
-
-
-@st.composite
-def large_instances(draw):
-    """A semilattice with 6 to 8 points, past verify.ENUM_MAX, and the
-    topology generated by a random subbase.  Every finite semilattice is a
-    family of sets closed under intersection (x maps to its down-set), so
-    the family grows by drawn subsets of a 4-point set and is then indexed
-    in a drawn order."""
-    n = draw(st.integers(6, 8))
-    family = set()
-    for u in draw(st.lists(st.integers(0, 15), min_size=16, max_size=16)):
-        if len(family) >= n:
-            break
-        family = _meet_closure(family | {u})
-    assume(6 <= len(family) <= 8)
-    n = len(family)
-    members = draw(st.permutations(sorted(family)))
-    index = {u: i for i, u in enumerate(members)}
-    table = [[index[a & b] for b in members] for a in members]
-    subbase = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))
-    return tsl.TopologizedSemigroup(
-        FiniteSemilattice(n, table), topo.generate_topology(n, subbase)
-    )
 
 
 def _check_json_of(text):

@@ -21,6 +21,8 @@ from topsl.core import (
     verify_semigroup,
 )
 
+from helpers import large_instances
+
 
 def _pairs(comp):
     tops = list(comp.bundle.as_dict().values())
@@ -129,6 +131,14 @@ def test_fast_path_matches_oracle(name):
 @settings(max_examples=30, deadline=None)
 @given(x=instances())
 def test_fast_path_matches_oracle_on_random_instances(name, x):
+    FAST_PATHS[name](x, weak.topology_comparison(x))
+
+
+@pytest.mark.parametrize("name", sorted(FAST_PATHS))
+@settings(max_examples=30, deadline=None)
+@given(x=large_instances())
+def test_fast_path_matches_oracle_past_enum_max(name, x):
+    # n = 6..8, which no enumeration reaches
     FAST_PATHS[name](x, weak.topology_comparison(x))
 
 
@@ -373,6 +383,27 @@ def test_is_continuous_matches_preimages_on_all_small_maps():
                 assert tsl.is_continuous(
                     src, tgt, mapping
                 ) == oracles.is_continuous_by_preimages(src, tgt, mapping)
+
+
+def test_hom_audits_match_literal_routes_on_small_classes():
+    """Every homomorphism between the 52 classes with n <= 3, under each of
+    tau, law, zar and weak on both ends: open, closed and embedding decided
+    from minimal neighbourhoods against the scans of every open set."""
+    classes = [x for x, _ in verify.instance_classes(3)]
+    bundles = {x: weak.topology_comparison(x).bundle for x in classes}
+    cases = 0
+    for a, b in itertools.product(classes, repeat=2):
+        for mapping in itertools.product(range(b.n), repeat=a.n):
+            if not tsl.is_homomorphism(a.algebra, b.algebra, mapping):
+                continue
+            for kind in ("tau", "law", "zar", "weak"):
+                args = (getattr(bundles[a], kind), getattr(bundles[b], kind), mapping)
+                assert verify._is_open_map(*args) == oracles.open_map_by_opens(*args)
+                closed = oracles.closed_map_by_closed_sets(*args)
+                assert verify._is_closed_map(*args) == closed
+                assert verify._is_embedding(*args) == oracles.embedding_by_traces(*args)
+                cases += 1
+    assert cases == 86_940
 
 
 def test_shift_identities_and_shared_discrete_topology():

@@ -231,8 +231,7 @@ def test_class_sweep_counts_match_labeled_oracle():
     memo = verify.SweepMemo()
     labeled = {}
     for x in verify.universe(3):
-        for rule_id, rs in verify._evaluate_instance(x, None, memo, 1, {}).items():
-            labeled.setdefault(rule_id, verify.RuleStats()).merge(rs)
+        verify._evaluate_instance(x, None, memo, 1, labeled)
     report = verify.sweep(3)
     assert set(labeled) == set(verify.INSTANCE_RULE_IDS)
     for rule_id, rs in labeled.items():
@@ -457,17 +456,6 @@ def test_sweep_reports_compare_by_value():
     assert verify.sweep(2) != verify.sweep(1)
 
 
-def test_thread_shards_hold_whole_tables():
-    classes = verify.instance_classes(3)
-    for parts in (1, 2, 3, 4, verify.THREADS_MAX):
-        chunks = verify._table_chunks(classes, parts)
-        assert 1 <= len(chunks) <= parts
-        assert [c for chunk in chunks for c in chunk] == classes
-        tables = [{x.algebra for x, _ in chunk} for chunk in chunks]
-        assert all(not a & b for a, b in itertools.combinations(tables, 2))
-    assert len(verify._table_chunks(classes, 2)) == 2
-
-
 def test_threaded_sweep_decides_each_subsemigroup_trace_once(monkeypatch):
     sub_report = verify._sub_report
     calls = []
@@ -491,22 +479,24 @@ def test_threaded_sweep_decides_each_subsemigroup_trace_once(monkeypatch):
     assert counts[1:] == counts[:1] * 2
 
 
-def test_an_error_in_a_thread_shard_is_raised_from_sweep(monkeypatch):
+def test_a_rule_error_is_raised_from_the_calling_thread(monkeypatch):
     rule_id = "diagram.weak_within_law_within_tau"
-    shard_threads = set()
+    rule_threads = set()
 
     def broken(ctx):
-        shard_threads.add(threading.current_thread())
+        rule_threads.add(threading.current_thread())
         raise RuntimeError(f"broken check on n={ctx.inst.n}")
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("the sweep started a thread")
 
     rule = next(r for r in verify.PER_INSTANCE_RULES if r.id == rule_id)
     monkeypatch.setattr(verify, "PER_INSTANCE_RULES", (rule._replace(check=broken),))
-    threads_before = threading.active_count()
-    # the first shard's error, as ThreadPoolExecutor.map would raise it
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    # the first class's error, raised where the sweep was called
     with pytest.raises(RuntimeError, match=r"broken check on n=1$"):
         verify.sweep(3, rule_ids=[rule_id], threads=2)
-    assert len(shard_threads) == 2 and threading.main_thread() not in shard_threads
-    assert threading.active_count() == threads_before
+    assert rule_threads == {threading.current_thread()}
 
 
 def test_zar_compact_centered_matches_scan():
