@@ -490,6 +490,27 @@ def semilattice_classes_by_semilattices(n: int) -> list[tuple[FiniteSemilattice,
     return out
 
 
+def search_by_labeled_instances(
+    satisfy, violate: str, n_max: int
+) -> verify.CounterexampleRecord | None:
+    """verify.search, walking every labeled instance of verify.universe and
+    canonicalizing the first that answers; it writes no catalog."""
+    if violate in verify.SEARCH_PSEUDO_PROPERTIES:
+        return None
+    for inst in verify.universe(n_max):
+        pv = props.property_vector(inst).as_dict()
+        pv["semilattice"] = True
+        if all(pv[p] for p in satisfy) and not pv[violate]:
+            canon, _ = verify.canonicalize(inst)
+            return verify.CounterexampleRecord(
+                query={"satisfy": list(satisfy), "violate": violate, "n_max": n_max},
+                document=verify.instance_document(canon),
+                properties=dict(sorted(pv.items())),
+                canonical_hash=verify.canonical_hash(inst),
+            )
+    return None
+
+
 def law_hausdorff_witness_by_opens(
     x_instance: tsl.TopologizedSemigroup, x: int, y: int
 ) -> tuple[int, int] | None:

@@ -38,7 +38,6 @@ from .tsl import is_homomorphism
 ENUM_MAX = 5
 CANON_MAX = 6
 SWEEP_MAX = 4
-SEARCH_MAX = 3  # search walks labeled instances
 THREADS_MAX = 16  # accepted and checked; every sweep runs on the calling thread
 
 
@@ -892,7 +891,7 @@ class SweepReport:
 
 def universe(n_max: int):
     """All labeled (semilattice, topology) pairings up to n_max, in
-    enumeration order."""
+    enumeration order: the tests' and oracles' reference walk."""
     out = []
     for n in range(1, n_max + 1):
         sls = enumerate_semilattices(n)
@@ -1268,25 +1267,25 @@ def search(
     n_max: int,
     catalog: Optional[str] = None,
 ) -> Optional[CounterexampleRecord]:
-    """First instance (in enumeration order, canonicalized) satisfying every
-    `satisfy` property and violating `violate`, or None if the search space
-    up to n_max is exhausted.  The search universe is all semilattice
-    instances, so the pseudo-property "semilattice" is always satisfied."""
+    """First class (in sweep order) satisfying every `satisfy` property and
+    violating `violate`, or None if the classes up to n_max are exhausted.
+    Each representative is the first labeled member of its class and its own
+    canonical form, so this is the first labeled answer too
+    (oracles.search_by_labeled_instances).  "semilattice" always holds."""
     satisfy = tuple(satisfy)
-    if not 1 <= n_max <= SEARCH_MAX:
-        raise ValueError(f"search supports n_max in 1..{SEARCH_MAX}, got {n_max}")
+    if not 1 <= n_max <= SWEEP_MAX:
+        raise ValueError(f"search supports n_max in 1..{SWEEP_MAX}, got {n_max}")
     _validate_property_names(satisfy + (violate,))
     if violate in SEARCH_PSEUDO_PROPERTIES:
         return None
-    for inst in universe(n_max):
+    for inst, _ in instance_classes(n_max):
         pv = props.property_vector(inst).as_dict()
         for p in SEARCH_PSEUDO_PROPERTIES:
             pv[p] = True
         if all(pv[p] for p in satisfy) and not pv[violate]:
-            canon, _ = canonicalize(inst)
             record = CounterexampleRecord(
                 query={"satisfy": list(satisfy), "violate": violate, "n_max": n_max},
-                document=instance_document(canon),
+                document=instance_document(inst),
                 properties={k: v for k, v in sorted(pv.items())},
                 canonical_hash=canonical_hash(inst),
             )

@@ -17,19 +17,19 @@ def _meet_closure(family):
 
 
 @st.composite
-def large_instances(draw):
-    """A semilattice with 6 to 8 points, past verify.ENUM_MAX, and the
-    topology generated by a random subbase.  Every finite semilattice is a
-    family of sets closed under intersection (x maps to its down-set), so
-    the family grows by drawn subsets of a 4-point set and is then indexed
-    in a drawn order."""
-    n = draw(st.integers(6, 8))
+def large_instances(draw, lo=6, hi=8):
+    """A semilattice with lo to hi points (by default 6 to 8, past
+    verify.ENUM_MAX), and the topology generated by a random subbase.
+    Every finite semilattice is a family of sets closed under intersection
+    (x maps to its down-set), so the family grows by drawn subsets of a
+    4-point set and is then indexed in a drawn order."""
+    n = draw(st.integers(lo, hi))
     family = set()
     for u in draw(st.lists(st.integers(0, 15), min_size=16, max_size=16)):
         if len(family) >= n:
             break
         family = _meet_closure(family | {u})
-    assume(6 <= len(family) <= 8)
+    assume(lo <= len(family) <= hi)
     n = len(family)
     members = draw(st.permutations(sorted(family)))
     index = {u: i for i, u in enumerate(members)}

@@ -22,7 +22,7 @@ from topsl.core import (
     subsets,
     verify_semigroup,
 )
-from topsl import topo, tsl, weak
+from topsl import cli, core, topo, tsl, weak
 from topsl.oracles import ChainFlags, chain_and_directed
 from topsl.verify import enumerate_posets, enumerate_semilattices
 
@@ -48,6 +48,11 @@ def test_bitmask_helpers():
     assert list(bits(1 << 80 | 0b101)) == [0, 2, 80]
     assert mask_of([0, 3]) == 0b1001
     assert list(subsets(2)) == [0, 1, 2, 3]
+
+
+def test_bits_table_covers_every_cli_carrier():
+    # a wider carrier would take bits' generator path on every mask
+    assert len(core._BITS) == 1 << cli.CLI_MAX
 
 
 def test_bits_rejects_a_negative_mask():

@@ -4,6 +4,7 @@ route in topsl.oracles, and a guard that the package never calls them."""
 import ast
 import functools
 import itertools
+import os
 import pathlib
 
 import pytest
@@ -140,6 +141,18 @@ def test_fast_path_matches_oracle_on_random_instances(name, x):
 def test_fast_path_matches_oracle_past_enum_max(name, x):
     # n = 6..8, which no enumeration reaches
     FAST_PATHS[name](x, weak.topology_comparison(x))
+
+
+@pytest.mark.skipif(
+    os.environ.get("TOPSL_LARGE") != "1", reason="opt-in: set TOPSL_LARGE=1 (under a minute)"
+)
+@settings(max_examples=12, deadline=None)
+@given(x=large_instances(9, 10))
+def test_fast_paths_match_oracles_up_to_cli_max(x):
+    # n = 9..10, up to cli.CLI_MAX; the oracles take seconds per instance
+    comp = weak.topology_comparison(x)
+    for check in FAST_PATHS.values():
+        check(x, comp)
 
 
 SMALL_TOPOLOGIES = [t for n in (1, 2) for t in verify.enumerate_topologies(n)]
@@ -446,6 +459,7 @@ UNNAMED_ALLOWED = {
     "error": "argparse calls _Parser.error",
     "from_rows": "public constructor of FiniteSemigroup",
     "load_catalog": "public reader of the catalogs that search writes",
+    "universe": "the benchmark's tracer names verify.universe",
 }
 
 

@@ -536,6 +536,15 @@ def test_product_audit_examples():
     assert audit.i_weak_preserved is None and audit.zar_factorizes is None
 
 
+def test_a_failed_structural_inclusion_is_a_diagram_violation(monkeypatch):
+    # the comparison asserts no inclusion itself: a broken zar reaches the
+    # diagram rule, once per 2-point class whose tau is not discrete
+    monkeypatch.setattr(weak, "zar_topology", lambda x: topo.discrete(x.n))
+    rule = verify.sweep(2).rules["diagram.weak_within_zar_within_tau"]
+    assert len(rule.violations) == 3
+    assert all("zar not within tau" in v for v in rule.violations)
+
+
 def test_search_finds_strictness_witness():
     rec = verify.search(["weak_circ", "weak_bullet", "topological"], "i_weak", 2)
     assert rec is not None
@@ -550,9 +559,9 @@ def test_search_exhausted_cases():
     assert verify.search(["t1", "semilattice"], "t2", 3) is None
     with pytest.raises(ValueError, match="unknown property"):
         verify.search(["bogus"], "t2", 2)
-    # the search walks labeled instances and keeps its own bound
-    with pytest.raises(ValueError, match="search supports n_max in 1..3"):
-        verify.search(["weak_circ"], "i_weak", 4)
+    # the search walks the sweep's classes and shares its bound
+    with pytest.raises(ValueError, match="search supports n_max in 1..4, got 5"):
+        verify.search(["weak_circ"], "i_weak", 5)
 
 
 def test_search_output_and_catalog_are_byte_stable(tmp_path, capsys):
@@ -584,6 +593,54 @@ def test_search_catalog_round_trip(tmp_path):
     raw["discovered_at"] = "2018-01-01T00:00:00+00:00"
     path.write_text(json.dumps(raw, sort_keys=True) + "\n", encoding="ascii")
     assert verify.load_catalog(str(path)) == records
+
+
+def test_class_representatives_are_canonical():
+    # search's record names a representative as its own canonical form
+    classes = verify.instance_classes(4)
+    assert len(classes) == 1255
+    for x, _ in classes:
+        assert verify.canonicalize(x)[0] == x
+
+
+def test_search_matches_labeled_oracle(tmp_path):
+    path = tmp_path / "catalog.jsonl"
+    found = 0
+    for violate in props.PROPERTY_NAMES + verify.SEARCH_PSEUDO_PROPERTIES:
+        path.write_bytes(b"")
+        rec = verify.search([], violate, 3, catalog=str(path))
+        assert rec == oracles.search_by_labeled_instances([], violate, 3), violate
+        line = "" if rec is None else json.dumps(rec._asdict(), sort_keys=True) + "\n"
+        assert path.read_text(encoding="ascii") == line
+        found += rec is not None
+    assert found == 20
+
+
+def test_first_class_hit_is_first_labeled_hit():
+    # every violate with no satisfy or one, at each n_max, over property
+    # vectors decided once per instance
+    def vectors(instances):
+        return [(x, props.property_vector(x).as_dict()) for x in instances]
+
+    labeled = vectors(verify.universe(3))
+    classes = vectors(x for x, _ in verify.instance_classes(3))
+
+    def first(pairs, n_max, satisfy, violate):
+        return next(
+            (
+                x
+                for x, pv in pairs
+                if x.n <= n_max and all(pv[p] for p in satisfy) and not pv[violate]
+            ),
+            None,
+        )
+
+    for n_max in (1, 2, 3):
+        for violate in props.PROPERTY_NAMES:
+            for satisfy in [()] + [(p,) for p in props.PROPERTY_NAMES]:
+                assert first(classes, n_max, satisfy, violate) == first(
+                    labeled, n_max, satisfy, violate
+                ), (n_max, satisfy, violate)
 
 
 def test_sub_and_product_instances():
