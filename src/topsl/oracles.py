@@ -195,7 +195,8 @@ def interval_topology_by_generation(poset: FinitePoset) -> topo.FiniteTopology:
 
 
 def order_profile_by_scan(x_instance: tsl.TopologizedSemigroup) -> tsl.OrderProfile:
-    """tsl.order_profile, scanning every chain for its inf and sup."""
+    """tsl.order_profile: whether principal upper and lower sets are
+    closed, scanning every chain for its inf and sup."""
     alg, top = x_instance.algebra, x_instance.topology
     poset = natural_order(alg)
     n = alg.n
@@ -252,6 +253,20 @@ def joint_continuity_via_product(inst: tsl.TopologizedSemigroup) -> bool:
     prod = topo.generate_topology(n * n, boxes)
     op_map = [alg.table[i][j] for i in range(n) for j in range(n)]
     return all(prod.is_open(tsl.preimage(op_map, u, n * n)) for u in top.opens)
+
+
+def joint_continuity_by_minimal(inst: tsl.TopologizedSemigroup) -> bool:
+    """The topological flag of tsl.continuity_profile: the operation is
+    jointly continuous at (x, y) iff it maps the smallest neighbourhood
+    M_x x M_y of the pair into the smallest one of xy."""
+    t, m = inst.algebra.table, inst.topology.minimal
+    return all(
+        m[t[x][y]] >> t[a][b] & 1
+        for x in range(inst.n)
+        for y in range(inst.n)
+        for a in bits(m[x])
+        for b in bits(m[y])
+    )
 
 
 def zar_compact_centered_by_scan(inst: tsl.TopologizedSemigroup) -> bool:
@@ -315,9 +330,10 @@ def separation_profile_by_scan(top: topo.FiniteTopology) -> topo.SeparationProfi
 def two_topology_separated_by_scan(
     fine: topo.FiniteTopology, coarse: topo.FiniteTopology
 ) -> bool:
-    """props._two_topology_separated: for every ordered pair x != y, scan
-    the pairs of a coarse open around x and a fine open around y for a
-    disjoint one."""
+    """The law_tau_separated and zar_tau_separated fields of
+    props.property_vector, with tau as fine and law or zar as coarse: for
+    every ordered pair x != y, scan the pairs of a coarse open around x and
+    a fine open around y for a disjoint one."""
     n = fine.n
     for x in range(n):
         for y in range(n):
@@ -330,6 +346,18 @@ def two_topology_separated_by_scan(
             ):
                 return False
     return True
+
+
+def i_separated_by_cuts(x_instance: tsl.TopologizedSemigroup, cuts) -> bool:
+    """The i_separated field of props.property_vector: continuous
+    homomorphisms into the min-interval separate all points.  Two points get
+    different values under some homomorphism exactly when some
+    multiplicative cut (a level set of one) holds one of them but not the
+    other."""
+    return all(
+        any((s >> x & 1) != (s >> y & 1) for s in cuts)
+        for x, y in itertools.combinations(range(x_instance.n), 2)
+    )
 
 
 def uvw_profile_by_scan(x_instance: tsl.TopologizedSemigroup) -> props.UVWProfile:

@@ -56,61 +56,6 @@ def uvw_profile(x_instance: tsl.TopologizedSemigroup) -> UVWProfile:
     return UVWProfile(is_u, True, is_v)
 
 
-class SeparationSuite(NamedTuple):
-    i_separated: bool
-    law_tau_separated: bool
-    zar_tau_separated: bool
-    law_hausdorff: bool
-    zar_hausdorff: bool
-    weak_hausdorff: bool
-
-
-def i_separated(x_instance: tsl.TopologizedSemigroup, cuts) -> bool:
-    """Continuous homomorphisms into the min-interval separate all points.
-
-    Two points get different values under some homomorphism exactly when
-    some multiplicative cut (a level set of such a homomorphism) contains
-    one of them but not the other.  cuts are the instance's
-    weak.multiplicative_cuts, as its comparison report carries them.
-    """
-    return all(
-        any((s >> x & 1) != (s >> y & 1) for s in cuts)
-        for x, y in itertools.combinations(range(x_instance.n), 2)
-    )
-
-
-def _two_topology_separated(
-    fine: topo.FiniteTopology, coarse: topo.FiniteTopology
-) -> bool:
-    """Every ordered pair x != y has disjoint neighborhoods, x in a
-    coarse-topology open and y in a fine-topology open: exactly when the
-    smallest such, coarse M_x and fine M_y, are disjoint.
-    oracles.two_topology_separated_by_scan scans pairs of opens."""
-    cm, fm = coarse.minimal, fine.minimal
-    return not any(
-        cm[x] & fm[y] for x in range(fine.n) for y in range(fine.n) if x != y
-    )
-
-
-def separation_suite(
-    x_instance: tsl.TopologizedSemigroup,
-    comparison: weak.ComparisonReport | None = None,
-) -> SeparationSuite:
-    """The six separation properties, from the comparison bundle's topologies."""
-    if comparison is None:
-        comparison = weak.topology_comparison(x_instance)
-    b = comparison.bundle
-    tau = x_instance.topology
-    return SeparationSuite(
-        i_separated=i_separated(x_instance, comparison.cuts),
-        law_tau_separated=_two_topology_separated(tau, b.law),
-        zar_tau_separated=_two_topology_separated(tau, b.zar),
-        law_hausdorff=topo.separation_profile(b.law).t2,
-        zar_hausdorff=topo.separation_profile(b.zar).t2,
-        weak_hausdorff=topo.separation_profile(b.weak).t2,
-    )
-
-
 def law_hausdorff_witness(
     x_instance: tsl.TopologizedSemigroup, x: int, y: int
 ) -> tuple[int, int] | None:
@@ -166,24 +111,18 @@ def zar_hausdorff_witness(
 
 
 def is_meet_continuous(sl) -> bool:
-    """Whether a * sup(D) is the supremum of a*D for every up-directed D.
-
-    Always true here: an up-directed subset of a finite semilattice contains
-    its maximum m, which is sup(D), and a*m is then the maximum of a*D
-    because multiplication by a is monotone.
-    oracles.is_meet_continuous_by_scan is the literal scan, kept as the oracle.
-    """
+    """Whether a * sup(D) is the supremum of a*D for every up-directed D:
+    always, as a finite D holds its maximum m = sup(D), and a*m is the
+    maximum of a*D since multiplication by a is monotone.
+    oracles.is_meet_continuous_by_scan is the literal scan."""
     return True
 
 
 def zar_compact_centered(x_instance: tsl.TopologizedSemigroup) -> bool:
-    """Every centered family of closed subsemigroups has nonempty intersection.
-
-    Always true here: a family of subsets of a finite carrier is itself
-    finite, so a centered family meets in its total intersection, which is
-    therefore nonempty.  oracles.zar_compact_centered_by_scan is the literal
-    scan, kept as the oracle.
-    """
+    """Every centered family of closed subsemigroups has nonempty
+    intersection: always, as a family of subsets of a finite carrier is
+    finite, so a centered one meets in its total intersection.
+    oracles.zar_compact_centered_by_scan is the literal scan."""
     return True
 
 
@@ -227,16 +166,39 @@ def property_vector(
     x_instance: tsl.TopologizedSemigroup,
     comparison: weak.ComparisonReport | None = None,
 ) -> PropertyVector:
-    """Decide every named property of a topologized semilattice instance."""
+    """Decide every named property of a topologized semilattice instance.
+
+    On a finite carrier the paper's hypotheses collapse (oracles has each
+    field's literal route).  Seven fields are constant: is_w (uvw_profile),
+    meet_continuous, shift_homomorphic, zar_compact_centered and three flags
+    of tsl.order_profile.  Ten equal discrete, that is every M_x = {x}: t1
+    and t2 (topo.separation_profile), updown_closed (tsl.order_profile), and
+    - law_hausdorff, zar_hausdorff and weak_hausdorff: law, zar and weak
+      are coarser than tau, and a finite Hausdorff space is discrete.  When
+      tau is discrete, each {x} is an open subsemilattice, so law is
+      discrete.  Each up z is a subsemilattice, and so is X minus up z, as
+      it is down-closed; both are closed, so {x}, which is up x minus the
+      up z for z > x, is open in zar.  The characters 1_{up x} into {0, 1}
+      are continuous and separate points, so weak is discrete too;
+    - i_separated: the cuts separate the points iff weak, generated by the
+      cuts and their complements, is Hausdorff.  A cut s holding x but not
+      y gives the disjoint opens s and X minus s; if no subbase set tells x
+      from y, no weak open does;
+    - law_tau_separated and zar_tau_separated: when coarse M_x misses
+      tau M_y, which holds y, for every x != y, each coarse M_x = {x}, and
+      tau, which is finer, is discrete.  Conversely a discrete tau makes law
+      and zar discrete, as above.
+    """
     alg = x_instance.algebra
     if not alg.is_semilattice:
         raise NotASemilatticeError("property vector needs a semilattice")
     if comparison is None:
         comparison = weak.topology_comparison(x_instance)
+    sep = topo.separation_profile(x_instance.topology)
     # each profile's fields are the vector's, in the vector's order
     return PropertyVector(
         *uvw_profile(x_instance),
-        *separation_suite(x_instance, comparison),
+        *(sep.discrete,) * 6,  # i_separated, two *_tau_separated, three *_hausdorff
         comparison.weak_circ,
         comparison.weak_bullet,
         comparison.i_weak,
@@ -244,7 +206,7 @@ def property_vector(
         derived(alg, is_linear),
         True,  # shift_homomorphic: a*x*a*y = a*a*x*y = a*x*y in a semilattice
         zar_compact_centered(x_instance),
-        *topo.separation_profile(x_instance.topology),
+        *sep,
         *tsl.continuity_profile(x_instance),
-        *tsl.order_profile(x_instance),
+        *tsl.order_profile(sep.discrete),
     )

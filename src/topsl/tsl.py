@@ -1,5 +1,5 @@
-"""Semigroups paired with topologies: continuity classes, order-topological
-predicates and subsemigroup enumeration."""
+"""Semigroups paired with topologies: continuity classes and subsemigroup
+enumeration."""
 
 from __future__ import annotations
 
@@ -10,11 +10,9 @@ from .core import (
     FiniteSemigroup,
     FiniteSemilattice,
     Frozen,
-    NotASemilatticeError,
     bits,
     derived,
     mask_of,
-    natural_order,
 )
 
 
@@ -106,22 +104,19 @@ def translations_continuous(x_instance: TopologizedSemigroup) -> bool:
 
 
 def continuity_profile(x_instance: TopologizedSemigroup) -> ContinuityProfile:
+    """Joint continuity equals separate continuity on a finite space.  The
+    operation is jointly continuous at (x, y) iff it maps M_x x M_y into
+    M_xy.  For a in M_x and b in M_y, continuity of a*- gives ab in M_ay,
+    and continuity of -*y gives ay in M_xy, so M_ay lies within M_xy; the
+    converse takes a = x or b = y.  No commutativity is needed.
+    oracles.joint_continuity_by_minimal tests every M_x x M_y, and
+    oracles.joint_continuity_via_product every open."""
     alg, top = x_instance.algebra, x_instance.topology
-    t, m = alg.table, top.minimal
-    # the operation is jointly continuous at (x, y) iff it maps the smallest
-    # neighbourhood M_x x M_y of the pair into the smallest one of xy
-    topological = all(
-        m[t[x][y]] >> t[a][b] & 1
-        for x in range(alg.n)
-        for y in range(alg.n)
-        for a in bits(m[x])
-        for b in bits(m[y])
-    )
     semitopological = translations_continuous(x_instance)
     subs = derived(alg, subsemigroups)
     known = frozenset(subs)
     subtopological = all(topo.closure(top, s) in known for s in subs)
-    return ContinuityProfile(topological, semitopological, subtopological)
+    return ContinuityProfile(semitopological, semitopological, subtopological)
 
 
 def subsemigroups(alg: FiniteSemigroup) -> tuple[int, ...]:
@@ -163,23 +158,14 @@ class OrderProfile(NamedTuple):
     down_chain_compact: bool
 
 
-def order_profile(x_instance: TopologizedSemigroup) -> OrderProfile:
-    """Whether principal upper and lower sets are closed, and three flags that
-    hold on every finite carrier (oracles.order_profile_by_scan scans them)."""
-    alg, top = x_instance.algebra, x_instance.topology
-    if not alg.is_semilattice:
-        raise NotASemilatticeError("order profile needs a semilattice")
-    poset = derived(alg, natural_order)
-    updown = all(
-        top.is_closed(poset.up[x]) and top.is_closed(poset.downs[x])
-        for x in range(alg.n)
-    )
-    return OrderProfile(
-        updown,
-        complete=True,  # a finite chain holds its inf and sup: its min and max
-        chain_compact=True,  # a finite chain is compact
-        down_chain_compact=True,  # so is each chain in a principal lower set
-    )
+def order_profile(discrete: bool) -> OrderProfile:
+    """The order fields of a semilattice, given whether its topology is
+    discrete.  Every up x and down x is closed exactly then: every set of a
+    discrete space is closed, and if they are, so is {x} = up x meet down x,
+    and a finite T1 space is discrete.  The other three hold on every finite
+    carrier: a chain holds its inf and sup, its min and max, and is compact.
+    oracles.order_profile_by_scan scans the principal sets and every chain."""
+    return OrderProfile(discrete, True, True, True)
 
 
 def chain_semilattice(k: int) -> TopologizedSemigroup:

@@ -355,10 +355,11 @@ class ProductAudit(NamedTuple):
     zar_factorizes: Optional[bool]
 
 
-def _factors_hypothesis(inst: tsl.TopologizedSemigroup, comp) -> bool:
-    """A factor's hypothesis of product.zar_weak_factorizes."""
-    zar_separated = props._two_topology_separated(inst.topology, comp.bundle.zar)
-    return zar_separated and tsl.translations_continuous(inst)
+def _factors_hypothesis(inst: tsl.TopologizedSemigroup) -> bool:
+    """A factor's hypothesis of product.zar_weak_factorizes: zar and tau
+    separated, and every translation continuous.  The first is tau being
+    discrete (props.property_vector), and that makes every map continuous."""
+    return topo.separation_profile(inst.topology).discrete
 
 
 def _audit_product(comp_a, comp_b, comp_p, factors_ok: bool) -> ProductAudit:
@@ -385,7 +386,7 @@ def product_audit(
     comp_a = weak.topology_comparison(a)
     comp_b = weak.topology_comparison(b)
     comp_p = weak.topology_comparison(product_instance(a, b))
-    factors_ok = _factors_hypothesis(a, comp_a) and _factors_hypothesis(b, comp_b)
+    factors_ok = _factors_hypothesis(a) and _factors_hypothesis(b)
     return _audit_product(comp_a, comp_b, comp_p, factors_ok)
 
 
@@ -1125,7 +1126,7 @@ def _product_phase(classes, rule_ids, stats, memo) -> None:
     labeled pairs.  Each product table gets one algebra object, on which its
     order data is derived (core.derived) once."""
     comps = [memo.comparison(x) for x, _ in classes]
-    factors_ok = [_factors_hypothesis(x, comp) for (x, _), comp in zip(classes, comps)]
+    factors_ok = [_factors_hypothesis(x) for x, _ in classes]
     algebras: dict = {}
     for (ia, (a, wa)), (ib, (b, wb)) in itertools.combinations_with_replacement(
         enumerate(classes), 2
@@ -1146,6 +1147,10 @@ def _product_phase(classes, rule_ids, stats, memo) -> None:
 
 
 def _main_conditions(inst, comp) -> tuple:
+    """The fifteen conditions of the main equivalence.  Eight of them are
+    constants or members of the property vector's discrete group: Lawson T2
+    and is_w always hold, and the three *_hausdorff and three *_separated
+    fields each equal discreteness (props.property_vector)."""
     b = comp.bundle
     pv = props.property_vector(inst, comp)
     return (

@@ -10,7 +10,7 @@ the natural order.
 from __future__ import annotations
 
 from operator import and_
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from . import topo, tsl
 from .core import (
@@ -63,16 +63,11 @@ def multiplicative_cuts(x_instance: tsl.TopologizedSemigroup) -> list[int]:
     ]
 
 
-def weak_topology(
-    x_instance: tsl.TopologizedSemigroup, cuts: Sequence[int] | None = None
-) -> topo.FiniteTopology:
+def weak_topology(x_instance: tsl.TopologizedSemigroup) -> topo.FiniteTopology:
     """Initial topology of all continuous homomorphisms into the min-interval,
-    generated by the multiplicative cuts and their complements; cuts are the
-    instance's multiplicative_cuts, when the caller has them."""
-    if cuts is None:
-        cuts = multiplicative_cuts(x_instance)
+    generated by the multiplicative cuts and their complements."""
     full = full_mask(x_instance.n)
-    subbase = [c for s in cuts for c in (s, full ^ s)]
+    subbase = [c for s in multiplicative_cuts(x_instance) for c in (s, full ^ s)]
     return topo.generate_topology(x_instance.n, subbase)
 
 
@@ -124,9 +119,9 @@ TOPOLOGY_NAMES = TopologyBundle._fields
 
 
 class ComparisonReport(Frozen):
-    """The bundle, the multiplicative cuts, and whether law, zar, weak equal tau."""
+    """The bundle, and whether law, zar, weak equal tau."""
 
-    _fields = ("bundle", "cuts", "weak_circ", "weak_bullet", "i_weak")
+    _fields = ("bundle", "weak_circ", "weak_bullet", "i_weak")
 
     @cached
     def inclusion(self) -> tuple[tuple[bool, ...], ...]:
@@ -156,19 +151,17 @@ def topology_comparison(x_instance: tsl.TopologizedSemigroup) -> ComparisonRepor
     # the order topologies depend on the semilattice alone: they are derived
     # once per poset object and shared by every topology paired with it
     poset = derived(alg, natural_order)
-    cuts = multiplicative_cuts(x_instance)
     bundle = TopologyBundle(
         tau=x_instance.topology,
         law=law_topology(x_instance),
         zar=zar_topology(x_instance),
-        weak=weak_topology(x_instance, cuts),
+        weak=weak_topology(x_instance),
         scott=derived(poset, scott_topology),
         lawson=derived(poset, lawson_topology),
         interval=interval_topology(poset),
     )
     return ComparisonReport(
         bundle,
-        tuple(cuts),
         bundle.law == bundle.tau,  # weak_circ
         bundle.zar == bundle.tau,  # weak_bullet
         bundle.weak == bundle.tau,  # i_weak

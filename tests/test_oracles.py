@@ -35,11 +35,34 @@ def _separation(x, comp):
         assert topo.separation_profile(top) == oracles.separation_profile_by_scan(top)
 
 
-def _two_topology(x, comp):
-    for fine, coarse in _pairs(comp):
-        assert props._two_topology_separated(
-            fine, coarse
-        ) == oracles.two_topology_separated_by_scan(fine, coarse)
+def _discrete_group_by_scans(x, comp) -> dict:
+    """The fields props.property_vector reads as tau's discreteness, besides
+    t1, t2 and discrete, each by its literal route."""
+    b, tau = comp.bundle, x.topology
+    return {
+        "law_hausdorff": oracles.separation_profile_by_scan(b.law).t2,
+        "zar_hausdorff": oracles.separation_profile_by_scan(b.zar).t2,
+        "weak_hausdorff": oracles.separation_profile_by_scan(b.weak).t2,
+        "law_tau_separated": oracles.two_topology_separated_by_scan(tau, b.law),
+        "zar_tau_separated": oracles.two_topology_separated_by_scan(tau, b.zar),
+        "i_separated": oracles.i_separated_by_cuts(x, oracles.multiplicative_cuts_by_scan(x)),
+        "updown_closed": oracles.order_profile_by_scan(x).updown_closed,
+    }
+
+
+def _discrete_group(x, comp):
+    disc = topo.separation_profile(x.topology).discrete
+    literal = _discrete_group_by_scans(x, comp)
+    assert literal == dict.fromkeys(literal, disc)
+    pv = props.property_vector(x, comp).as_dict()
+    assert {f: pv[f] for f in literal} == literal
+
+
+def _joint_continuity(x, comp):
+    for top in comp.bundle.as_dict().values():
+        y = x.with_topology(top)
+        joint = oracles.joint_continuity_by_minimal(y)
+        assert joint == tsl.translations_continuous(y) == tsl.continuity_profile(y).topological
 
 
 def _uvw(x, comp):
@@ -82,7 +105,8 @@ def _family_within(x, comp):
 
 FAST_PATHS = {
     "separation_profile": _separation,
-    "two_topology_separated": _two_topology,
+    "discrete_group": _discrete_group,
+    "joint_continuity": _joint_continuity,
     "uvw_profile": _uvw,
     "is_continuous": _is_continuous,
     "translations_continuous": _translations,
@@ -153,6 +177,72 @@ def test_fast_paths_match_oracles_up_to_cli_max(x):
     comp = weak.topology_comparison(x)
     for check in FAST_PATHS.values():
         check(x, comp)
+
+
+def _bottom_atoms(alg) -> int:
+    """The number of atoms: the points whose only lower bounds are
+    themselves and the bottom."""
+    t, rng = alg.table, range(alg.n)
+    bottom = functools.reduce(lambda a, b: t[a][b], rng)
+    return sum(y != bottom and all(t[z][y] in (y, bottom) for z in rng) for y in rng)
+
+
+def test_large_draws_reach_a_bottom_with_five_atoms():
+    # the atoms of an intersection-closed family are disjoint beyond its
+    # bottom, so k atoms need k points; the draws use hi - 1, enough for all
+    atoms = []
+
+    @settings(max_examples=60, database=None, derandomize=True)
+    @given(x=large_instances(9, 10))
+    def draw(x):
+        atoms.append(_bottom_atoms(x.algebra))
+
+    draw()
+    assert max(atoms) >= 5
+
+
+def _semigroups(n_max):
+    """Every semigroup table with at most n_max points."""
+    for n in range(1, n_max + 1):
+        for flat in itertools.product(range(n), repeat=n * n):
+            table = tuple(flat[i * n : (i + 1) * n] for i in range(n))
+            if not verify_semigroup(table):
+                yield FiniteSemigroup(n, table)
+
+
+def test_finite_collapses_on_every_class_up_to_four_points():
+    """The collapses props.property_vector reads, each by its literal route
+    on every isomorphism class with n <= 4: seven fields hold everywhere,
+    ten equal discreteness, and joint continuity equals separate
+    continuity.  The last needs no semilattice laws, so it is checked on
+    every semigroup with n <= 2 under every topology too."""
+    classes = [x for x, _ in verify.instance_classes(4)]
+    assert len(classes) == 1255
+    discrete = 0
+    for x in classes:
+        order = oracles.order_profile_by_scan(x)
+        assert oracles.uvw_profile_by_scan(x).is_w
+        assert oracles.is_meet_continuous_by_scan(x.algebra)
+        assert is_shift_homomorphic(x.algebra)
+        assert oracles.zar_compact_centered_by_scan(x)
+        assert order.complete and order.chain_compact and order.down_chain_compact
+        sep = oracles.separation_profile_by_scan(x.topology)
+        literal = _discrete_group_by_scans(x, weak.topology_comparison(x))
+        assert literal == dict.fromkeys(literal, sep.discrete)
+        assert sep.t1 == sep.t2 == sep.discrete
+        joint = oracles.joint_continuity_via_product(x)
+        assert joint == oracles.translations_continuous_by_preimages(x)
+        discrete += sep.discrete
+    assert discrete == 1 + 1 + 2 + 5  # one per semilattice class
+    small = [
+        tsl.TopologizedSemigroup(alg, top)
+        for alg in _semigroups(2)
+        for top in verify.enumerate_topologies(alg.n)
+    ]
+    assert len(small) == 1 + 8 * 4
+    for x in small:
+        joint = oracles.joint_continuity_via_product(x)
+        assert joint == oracles.translations_continuous_by_preimages(x)
 
 
 SMALL_TOPOLOGIES = [t for n in (1, 2) for t in verify.enumerate_topologies(n)]
@@ -300,7 +390,7 @@ def test_main_conditions_match_literal_routes():
             lawson,
             oracles.two_topology_separated_by_scan(x.topology, b.law),
             oracles.two_topology_separated_by_scan(x.topology, b.zar),
-            props.i_separated(x, oracles.multiplicative_cuts_by_scan(x)),
+            oracles.i_separated_by_cuts(x, oracles.multiplicative_cuts_by_scan(x)),
             uvw.is_w,
             uvw.is_u,
             uvw.is_v,
@@ -321,15 +411,7 @@ def test_zar_hausdorff_witness_matches_combination_search():
 
 
 def _non_commutative_semigroups(n_max):
-    out = []
-    for n in range(1, n_max + 1):
-        for flat in itertools.product(range(n), repeat=n * n):
-            table = tuple(flat[i * n : (i + 1) * n] for i in range(n))
-            if not verify_semigroup(table):
-                alg = FiniteSemigroup(n, table)
-                if not alg.is_commutative:
-                    out.append(alg)
-    return out
+    return [alg for alg in _semigroups(n_max) if not alg.is_commutative]
 
 
 def test_continuity_fast_paths_on_non_commutative_semigroups():

@@ -24,29 +24,29 @@ def test_uvw_profile_examples():
         props.uvw_profile(tsl.TopologizedSemigroup(Z2, topo.discrete(2)))
 
 
+SEPARATION_FIELDS = (
+    "i_separated",
+    "law_tau_separated",
+    "zar_tau_separated",
+    "law_hausdorff",
+    "zar_hausdorff",
+    "weak_hausdorff",
+)
+
+
 def test_separation_suite_examples():
-    sier = props.separation_suite(SIERPINSKI)
+    sier = props.property_vector(SIERPINSKI)
     assert not sier.i_separated
     assert not sier.zar_tau_separated
     assert not (sier.law_hausdorff or sier.zar_hausdorff or sier.weak_hausdorff)
-    disc = props.separation_suite(DISCRETE_CHAIN)
-    assert all(
-        getattr(disc, f)
-        for f in (
-            "i_separated",
-            "law_tau_separated",
-            "zar_tau_separated",
-            "law_hausdorff",
-            "zar_hausdorff",
-            "weak_hausdorff",
-        )
-    )
+    disc = props.property_vector(DISCRETE_CHAIN)
+    assert all(getattr(disc, f) for f in SEPARATION_FIELDS)
 
 
 def test_singleton_trivially_separated():
     one = tsl.TopologizedSemigroup(FiniteSemilattice(1, ((0,),)), topo.discrete(1))
-    suite = props.separation_suite(one)
-    assert suite.i_separated and suite.weak_hausdorff
+    pv = props.property_vector(one)
+    assert pv.i_separated and pv.weak_hausdorff
 
 
 def test_law_hausdorff_witness():
@@ -66,7 +66,7 @@ def test_zar_hausdorff_witness():
 
 def test_witnesses_characterize_hausdorffness():
     for x in universe(2):
-        suite = props.separation_suite(x)
+        suite = props.property_vector(x)
         pairs = list(itertools.combinations(range(x.n), 2))
         assert suite.law_hausdorff == all(
             props.law_hausdorff_witness(x, a, b) is not None for a, b in pairs
@@ -93,7 +93,7 @@ def test_property_vector_fields_and_purity():
     # property_vector lays the profiles' fields out in this order
     assert props.PROPERTY_NAMES == (
         props.UVWProfile._fields
-        + props.SeparationSuite._fields
+        + SEPARATION_FIELDS
         + ("weak_circ", "weak_bullet", "i_weak", "meet_continuous", "linear")
         + ("shift_homomorphic", "zar_compact_centered")
         + topo.SeparationProfile._fields

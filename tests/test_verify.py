@@ -137,19 +137,24 @@ def test_sweep3_render_matches_golden_output():
 
 
 def test_sweep_computes_each_bundle_once_per_call(monkeypatch):
-    counts = {"topology_comparison": 0, "scott_topology": 0}
-    for name in counts:
-        original = getattr(weak, name)
+    counted_names = (
+        (weak, "topology_comparison"),
+        (weak, "scott_topology"),
+        (topo, "separation_profile"),
+    )
+    counts = dict.fromkeys((name for _, name in counted_names), 0)
+    for module, name in counted_names:
+        original = getattr(module, name)
 
         def counted(x, original=original, name=name):
             counts[name] += 1
             return original(x)
 
-        monkeypatch.setattr(weak, name, counted)
+        monkeypatch.setattr(module, name, counted)
     # at n_max = 4, 8 product lookups hit reports of 4-point classes, which
     # the loop drops after use: the phases must run before it
     for n_max, comparisons, scott_max in ((3, 66, 12), (4, 1268, 13)):
-        counts["topology_comparison"] = counts["scott_topology"] = 0
+        counts.update(dict.fromkeys(counts, 0))
         verify.sweep(n_max)
         # one per distinct instance: the class representatives and their
         # sub-instances, the products of the n <= 2 class representatives,
@@ -158,11 +163,16 @@ def test_sweep_computes_each_bundle_once_per_call(monkeypatch):
         # sub-algebras and products bring a few objects of their own
         assert counts["topology_comparison"] == comparisons
         assert counts["scott_topology"] <= scott_max
+        # one per property vector, one per applied zar.t0_iff check and one
+        # per product factor: the vector reads ten fields off tau's
+        # discreteness, not off the separation of law, zar and weak
+        if n_max == 4:
+            assert counts["separation_profile"] <= 2175
         # no memo outlives a call: neither the reports nor the order data
         # derived on the sweep's algebra objects, so a second sweep redoes
         # all of it (a leak from the first would show as fewer Scott calls)
         first = dict(counts)
-        counts["topology_comparison"] = counts["scott_topology"] = 0
+        counts.update(dict.fromkeys(counts, 0))
         verify.sweep(n_max)
         assert counts == first
 
