@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 from . import props, topo, tsl, verify, weak
 from .core import (
+    CLI_MAX,
     FinitePoset,
     FiniteSemigroup,
     FiniteSemilattice,
@@ -28,11 +29,6 @@ from .core import (
 )
 
 SCHEMA_VERSION = 1
-# Largest carrier an instance file may have.  A check report lists 2**n open
-# sets twice (lawson and interval): on the discrete min-chain (2 vCPUs)
-# `topsl check` takes 0.33 s and prints 531 kB at n = 10, 2.1 s and 2.5 MB
-# at n = 12.
-CLI_MAX = 10
 
 USAGE_EXIT = 1
 VALIDATION_EXIT = 2

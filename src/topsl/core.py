@@ -10,6 +10,35 @@ from __future__ import annotations
 import functools
 import itertools
 from typing import Iterable, Iterator, Optional
+
+# Size bounds, each with its reason.  verify and cli import theirs by name
+# and read them as their own globals (verify.SWEEP_MAX, cli.CLI_MAX).
+#
+# Labeled enumeration (verify.enumerate_*): at n = 5 there are 4,231 partial
+# orders and 6,942 topologies, made in about 0.05 s each; n = 6 has 130,023
+# and 209,527.
+ENUM_MAX = 5
+# verify.canonicalize tries every relabeling: 720 at n = 6, 5,040 at n = 7.
+CANON_MAX = 6
+# verify.sweep and search walk every isomorphism class up to n_max: 1,255
+# classes at 4, in about 0.4 s.  sweep(5) runs clean in about 20 s and
+# 51 MiB but has no golden output yet.
+SWEEP_MAX = 4
+# sweep's threads argument is checked against it and changes nothing else:
+# every sweep runs on the calling thread.
+THREADS_MAX = 16
+# Largest carrier an instance file may have (cli).  A check report lists
+# 2**n open sets twice (lawson and interval): on the discrete min-chain
+# (2 vCPUs) `topsl check` takes 0.33 s and prints 531 kB at n = 10, 2.1 s
+# and 2.5 MB at n = 12.  bits() keeps a tuple for every mask below 2**CLI_MAX.
+CLI_MAX = 10
+# verify.product_instance builds an operation table of n**2 entries: 4,096
+# for 64 points, two 8-point factors.  The sweep multiplies 2-point classes.
+INSTANCE_PRODUCT_MAX = 64
+# topo.product: 12 * 12 covers the product of any two carriers the CLI
+# accepts, at most CLI_MAX**2 = 100 points.
+TOPOLOGY_PRODUCT_MAX = 144
+
 _set = object.__setattr__  # looked up once, not per Frozen field
 
 
@@ -57,12 +86,12 @@ def _bits_table(width: int) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
-_BITS = _bits_table(10)  # every carrier the CLI accepts (cli.CLI_MAX)
+_BITS = _bits_table(CLI_MAX)  # every carrier the CLI accepts
 
 
 def bits(mask: int) -> Iterable[int]:
     """Element indices present in a bitmask, ascending: a precomputed tuple
-    for masks below 2**10, a generator for larger ones."""
+    for masks below 2**CLI_MAX, a generator for larger ones."""
     if 0 <= mask < len(_BITS):
         return _BITS[mask]
     if mask < 0:

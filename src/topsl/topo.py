@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .core import Frozen, bits, cached, full_mask, mask_of
+from .core import TOPOLOGY_PRODUCT_MAX, Frozen, bits, cached, full_mask, mask_of
 
 
 def _minimal(n: int, sets) -> tuple[int, ...]:
@@ -213,8 +213,10 @@ def product(top1: FiniteTopology, top2: FiniteTopology) -> FiniteTopology:
     """The product topology: the M of the pair (x, y) is the box M_x x M_y.
     oracles.product_by_union_closure closes the boxes under union."""
     n = top1.n * top2.n
-    if n > 144:
-        raise ValueError(f"product carrier {n} exceeds the supported bound 144")
+    if n > TOPOLOGY_PRODUCT_MAX:
+        raise ValueError(
+            f"product carrier {n} exceeds the supported bound {TOPOLOGY_PRODUCT_MAX}"
+        )
     return FiniteTopology(
         n, tuple(box_mask(a, b, top2.n) for a in top1.minimal for b in top2.minimal)
     )

@@ -10,6 +10,11 @@ properties, "zar." for facts about the closed-subsemigroup topology,
 "linear." for algebraic ones, and "hom."/"sub."/"product." for the
 cross-instance phases.  "compact_hausdorff.all_equivalent" runs in its own
 discrete-only phase.
+
+The per-instance rules are rows of data (PER_INSTANCE_RULES): hypotheses,
+then conditions that must hold and conditions that must agree, each a
+PropertyVector field or a CONDITIONS key; _rule builds the check of such a
+row.  The rows that list their own witnesses keep a check function.
 """
 
 from __future__ import annotations
@@ -21,6 +26,11 @@ from typing import Callable, NamedTuple, Optional
 
 from . import props, topo, tsl, weak
 from .core import (
+    CANON_MAX,
+    ENUM_MAX,
+    INSTANCE_PRODUCT_MAX,
+    SWEEP_MAX,
+    THREADS_MAX,
     FinitePoset,
     FiniteSemigroup,
     FiniteSemilattice,
@@ -34,11 +44,6 @@ from .core import (
     subsets,
 )
 from .tsl import is_homomorphism
-
-ENUM_MAX = 5
-CANON_MAX = 6
-SWEEP_MAX = 4
-THREADS_MAX = 16  # accepted and checked; every sweep runs on the calling thread
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +240,10 @@ def product_instance(
     """Product semigroup under the pair index (i, j) -> i*n_b + j with the
     product topology."""
     n = a.n * b.n
-    if n > 64:
-        raise ValueError(f"product carrier {n} exceeds the supported bound 64")
+    if n > INSTANCE_PRODUCT_MAX:
+        raise ValueError(
+            f"product carrier {n} exceeds the supported bound {INSTANCE_PRODUCT_MAX}"
+        )
     ta, tb = a.algebra.table, b.algebra.table
     table = tuple(
         tuple(
@@ -395,66 +402,124 @@ def product_audit(
 
 
 class InstanceContext(NamedTuple):
+    """What the rules read of one instance: its natural order, its
+    comparison report and its property vector as a dict."""
+
     inst: tsl.TopologizedSemigroup
     poset: FinitePoset
-    chains: tuple[int, ...]  # the maximal chains of poset
     comp: weak.ComparisonReport
     pv: dict
 
 
-class Rule(NamedTuple):
-    """A rule's check takes an InstanceContext and returns the details of
-    its violations.  A per_table rule reads only the semilattice table: its
-    check takes the algebra and runs once per table (core.derived)."""
-
-    id: str
-    hypotheses: tuple[str, ...]
-    check: Callable[..., list[str]]
-    per_table: bool = False
+def _context(inst: tsl.TopologizedSemigroup, comp) -> InstanceContext:
+    pv = props.property_vector(inst, comp).as_dict()
+    return InstanceContext(inst, derived(inst.algebra, natural_order), comp, pv)
 
 
-def _implies(*conclusions: str):
-    def check(ctx: InstanceContext) -> list[str]:
-        return [f"expected {c} to hold" for c in conclusions if not ctx.pv[c]]
-
-    return check
-
-
-def _all_equal(label: str, values_of: Callable[[InstanceContext], tuple]):
-    def check(ctx: InstanceContext) -> list[str]:
-        values = values_of(ctx)
-        if len(set(values)) > 1:
-            return [f"{label} conditions disagree: {values}"]
-        return []
-
-    return check
+def _within(lo: str, hi: str):
+    return lambda ctx: weak.family_within(
+        getattr(ctx.comp.bundle, lo), getattr(ctx.comp.bundle, hi)
+    )
 
 
-def _check_diagram(pairs):
-    def check(ctx: InstanceContext) -> list[str]:
-        out = []
-        for lo, hi in pairs:
-            a = getattr(ctx.comp.bundle, lo)
-            b = getattr(ctx.comp.bundle, hi)
-            if not weak.family_within(a, b):
-                out.append(f"{lo} not within {hi}")
-        return out
-
-    return check
+def _shifts(name: str):
+    """Whether every translation is continuous in the named topology."""
+    return lambda ctx: tsl.translations_continuous(
+        ctx.inst.with_topology(getattr(ctx.comp.bundle, name))
+    )
 
 
-def _check_uw_equivalence(ctx: InstanceContext) -> list[str]:
+def _witnessed(witness):
+    """Whether witness finds a witness for every pair of points."""
+    return lambda ctx: all(
+        witness(ctx.inst, x, y) is not None
+        for x, y in itertools.combinations(range(ctx.inst.n), 2)
+    )
+
+
+def _u_on_open_upper_sets(ctx: InstanceContext) -> bool:
+    """Each point x of an open upper set u is inside the interior of the
+    upper set of some point of u."""
     int_up = props.upper_interiors(ctx.inst)
-    cond3 = all(
+    return all(
         any(int_up[y] >> x & 1 for y in bits(u))
         for u in ctx.inst.topology.opens
         if cone(ctx.poset, u, "up") == u
         for x in bits(u)
     )
-    values = (ctx.pv["is_u"], ctx.pv["is_w"], cond3)
-    if len(set(values)) > 1:
-        return [f"U/W/upper-set conditions disagree: {values}"]
-    return []
+
+
+# The conditions a rule may name besides the PropertyVector fields, each
+# decided on an InstanceContext.  "lo within hi" compares two topologies of
+# the comparison bundle.
+CONDITIONS = {
+    **{
+        f"{lo} within {hi}": _within(lo, hi)
+        for lo, hi in (
+            ("weak", "law"), ("law", "tau"), ("weak", "zar"), ("zar", "tau"),
+            ("interval", "lawson"), ("weak", "lawson"), ("lawson", "zar"),
+            ("lawson", "law"),
+        )
+    },
+    **{f"shifts continuous in {t}": _shifts(t) for t in ("law", "zar", "weak")},
+    "zar t0": lambda ctx: topo.separation_profile(ctx.comp.bundle.zar).t0,
+    "is_v and t1": lambda ctx: ctx.pv["is_v"] and ctx.pv["t1"],
+    "t0 and weak = zar": lambda ctx: (
+        ctx.pv["t0"] and ctx.comp.bundle.weak == ctx.comp.bundle.zar
+    ),
+    "weak = lawson": lambda ctx: ctx.comp.bundle.weak == ctx.comp.bundle.lawson,
+    "weak = lawson = zar": lambda ctx: (
+        ctx.comp.bundle.weak == ctx.comp.bundle.lawson == ctx.comp.bundle.zar
+    ),
+    "law_hausdorff witnesses for all pairs": _witnessed(props.law_hausdorff_witness),
+    "zar_hausdorff witnesses for all pairs": _witnessed(props.zar_hausdorff_witness),
+    "U on open upper sets": _u_on_open_upper_sets,
+    # Lawson is discrete, so T2, on a finite poset (weak.lawson_topology)
+    "lawson t2": lambda ctx: True,
+}
+
+
+class Rule(NamedTuple):
+    """A row of the rule table.  A rule applies where each of its hypotheses,
+    PropertyVector fields, holds; its check then returns the details of its
+    violations.  A row made by _rule states its conclusion as data: holds,
+    the conditions that must hold, and agree, those that must take one value,
+    each a PropertyVector field or a CONDITIONS key.  A row that lists its
+    own witnesses has a check of its own.  Checks take an InstanceContext,
+    but a per_table rule reads only the semilattice table: its check takes
+    the algebra and runs once per table (core.derived)."""
+
+    id: str
+    hypotheses: tuple[str, ...]
+    check: Callable[..., list[str]]
+    per_table: bool = False
+    holds: tuple[str, ...] = ()
+    agree: tuple[str, ...] = ()
+
+
+def _rule(rule_id: str, hypotheses=(), holds=(), agree=()) -> Rule:
+    """The row whose check finds each condition of holds true and every
+    condition of agree equal, and otherwise names the condition that fails,
+    or each condition of agree with its value.  Names are looked up once,
+    here: a CONDITIONS key gives its function, a PropertyVector field None."""
+    holds, agree = tuple(holds), tuple(agree)
+    hold_fns = [(c, CONDITIONS.get(c)) for c in holds]
+    agree_fns = [(c, CONDITIONS.get(c)) for c in agree]
+
+    def check(ctx: InstanceContext) -> list[str]:
+        pv = ctx.pv
+        out = []
+        for c, f in hold_fns:
+            if not (pv[c] if f is None else f(ctx)):
+                out.append(f"expected {c} to hold")
+        if agree_fns:
+            values = [pv[c] if f is None else f(ctx) for c, f in agree_fns]
+            if len(set(values)) > 1:
+                named = ", ".join(f"{c}={v}" for c, v in zip(agree, values))
+                out.append(f"conditions disagree: {named}")
+        return out
+
+    return Rule(rule_id, tuple(hypotheses), check, holds=holds, agree=agree)
 
 
 def _check_finite_upper_refines(ctx: InstanceContext) -> list[str]:
@@ -513,10 +578,10 @@ def _check_maxchain_extrema(alg: FiniteSemigroup) -> list[str]:
 
 
 def _check_scott_gap(ctx: InstanceContext) -> list[str]:
-    poset = ctx.poset
+    poset, chains = _order_of(ctx.inst.algebra)
     out = []
     for u in ctx.comp.bundle.scott.opens:
-        for m in ctx.chains:
+        for m in chains:
             gap = m & ~u
             if not gap:
                 continue
@@ -560,263 +625,90 @@ def _check_shift_identities(alg: FiniteSemigroup) -> list[str]:
     return []
 
 
-def _check_shift_continuity(*names: str):
-    def check(ctx: InstanceContext) -> list[str]:
-        out = []
-        for name in names:
-            repaired = ctx.inst.with_topology(getattr(ctx.comp.bundle, name))
-            if not tsl.translations_continuous(repaired):
-                out.append(f"shifts lose continuity in the {name} topology")
-        return out
-
-    return check
-
-
-def _check_witnesses(prop: str, witness):
-    """prop holds exactly when witness finds a witness for every pair."""
-
-    def check(ctx: InstanceContext) -> list[str]:
-        inst = ctx.inst
-        have_all = all(
-            witness(inst, x, y) is not None
-            for x, y in itertools.combinations(range(inst.n), 2)
-        )
-        if have_all != ctx.pv[prop]:
-            return [f"{prop}={ctx.pv[prop]} but witnesses for all pairs={have_all}"]
-        return []
-
-    return check
-
-
-def _final_conditions(ctx: InstanceContext) -> tuple:
-    b = ctx.comp.bundle
-    pv = ctx.pv
-    return (
-        pv["zar_hausdorff"],
-        pv["weak_hausdorff"],
-        pv["i_separated"],
-        pv["is_v"] and pv["t1"],
-        pv["t0"] and b.weak == b.zar,
-        b.weak == b.lawson == b.zar,
-        # and the Lawson topology is T2: it is discrete on a finite poset
-        # (weak.lawson_topology)
-        pv["discrete"],
-    )
-
-
-def _vc_conditions(ctx: InstanceContext) -> tuple:
-    pv = ctx.pv
-    return (
-        pv["zar_hausdorff"],
-        pv["zar_tau_separated"],
-        pv["is_v"] and pv["t1"],
-    )
-
-
-def _cc_conditions(ctx: InstanceContext) -> tuple:
-    pv = ctx.pv
-    return (pv["complete"], pv["zar_compact_centered"], pv["chain_compact"])
-
-
 HAUS_SEMI = ("t2", "semitopological")
+SEMI = ("semitopological",)
 
+# The rule table: (id, hypotheses, holds, agree) rows made by _rule, and the
+# rows with a check of their own.
 PER_INSTANCE_RULES = (
-    Rule(
-        "diagram.weak_within_law_within_tau",
-        (),
-        _check_diagram((("weak", "law"), ("law", "tau"))),
-    ),
-    Rule(
-        "diagram.weak_within_zar_within_tau",
-        (),
-        _check_diagram((("weak", "zar"), ("zar", "tau"))),
-    ),
-    Rule(
-        "diagram.interval_within_lawson",
-        (),
-        _check_diagram((("interval", "lawson"),)),
-    ),
+    _rule("diagram.weak_within_law_within_tau", (),
+          ["weak within law", "law within tau"]),
+    _rule("diagram.weak_within_zar_within_tau", (),
+          ["weak within zar", "zar within tau"]),
+    _rule("diagram.interval_within_lawson", (), ["interval within lawson"]),
     # separation implications under the Hausdorff semitopological hypotheses
-    Rule(
-        "sep.weak_circ_implies_law_hausdorff",
-        HAUS_SEMI + ("weak_circ",),
-        _implies("law_hausdorff"),
-    ),
-    Rule(
-        "sep.i_weak_implies_weak_circ", HAUS_SEMI + ("i_weak",), _implies("weak_circ")
-    ),
-    Rule(
-        "sep.i_weak_implies_weak_bullet",
-        HAUS_SEMI + ("i_weak",),
-        _implies("weak_bullet"),
-    ),
-    Rule(
-        "sep.i_weak_implies_weak_hausdorff",
-        HAUS_SEMI + ("i_weak",),
-        _implies("weak_hausdorff"),
-    ),
-    Rule(
-        "sep.weak_bullet_implies_zar_hausdorff",
-        HAUS_SEMI + ("weak_bullet",),
-        _implies("zar_hausdorff"),
-    ),
-    Rule(
-        "sep.weak_hausdorff_implies_law_hausdorff",
-        HAUS_SEMI + ("weak_hausdorff",),
-        _implies("law_hausdorff"),
-    ),
-    Rule(
-        "sep.weak_hausdorff_implies_zar_hausdorff",
-        HAUS_SEMI + ("weak_hausdorff",),
-        _implies("zar_hausdorff"),
-    ),
-    Rule(
-        "sep.weak_hausdorff_iff_i_separated",
-        HAUS_SEMI,
-        _all_equal(
-            "weak-Hausdorff / point-separation",
-            lambda ctx: (ctx.pv["weak_hausdorff"], ctx.pv["i_separated"]),
-        ),
-    ),
-    Rule(
-        "sep.law_hausdorff_implies_law_tau_separated",
-        HAUS_SEMI + ("law_hausdorff",),
-        _implies("law_tau_separated"),
-    ),
-    Rule(
-        "sep.zar_hausdorff_implies_zar_tau_separated",
-        HAUS_SEMI + ("zar_hausdorff",),
-        _implies("zar_tau_separated"),
-    ),
-    Rule(
-        "sep.i_separated_implies_law_tau_separated",
-        HAUS_SEMI + ("i_separated",),
-        _implies("law_tau_separated"),
-    ),
-    Rule(
-        "sep.i_separated_implies_zar_tau_separated",
-        HAUS_SEMI + ("i_separated",),
-        _implies("zar_tau_separated"),
-    ),
-    Rule(
-        "sep.w_implies_law_tau_separated",
-        HAUS_SEMI + ("is_w",),
-        _implies("law_tau_separated"),
-    ),
-    Rule("sep.u_implies_v", HAUS_SEMI + ("is_u",), _implies("is_v")),
-    Rule(
-        "sep.v_implies_zar_tau_separated",
-        HAUS_SEMI + ("is_v",),
-        _implies("zar_tau_separated"),
-    ),
-    Rule(
-        "u.hausdorff_implies_i_separated",
-        HAUS_SEMI + ("is_u",),
-        _implies("i_separated"),
-    ),
+    _rule("sep.weak_circ_implies_law_hausdorff",
+          (*HAUS_SEMI, "weak_circ"), ["law_hausdorff"]),
+    _rule("sep.i_weak_implies_weak_circ", (*HAUS_SEMI, "i_weak"), ["weak_circ"]),
+    _rule("sep.i_weak_implies_weak_bullet", (*HAUS_SEMI, "i_weak"), ["weak_bullet"]),
+    _rule("sep.i_weak_implies_weak_hausdorff",
+          (*HAUS_SEMI, "i_weak"), ["weak_hausdorff"]),
+    _rule("sep.weak_bullet_implies_zar_hausdorff",
+          (*HAUS_SEMI, "weak_bullet"), ["zar_hausdorff"]),
+    _rule("sep.weak_hausdorff_implies_law_hausdorff",
+          (*HAUS_SEMI, "weak_hausdorff"), ["law_hausdorff"]),
+    _rule("sep.weak_hausdorff_implies_zar_hausdorff",
+          (*HAUS_SEMI, "weak_hausdorff"), ["zar_hausdorff"]),
+    _rule("sep.weak_hausdorff_iff_i_separated",
+          HAUS_SEMI, agree=["weak_hausdorff", "i_separated"]),
+    _rule("sep.law_hausdorff_implies_law_tau_separated",
+          (*HAUS_SEMI, "law_hausdorff"), ["law_tau_separated"]),
+    _rule("sep.zar_hausdorff_implies_zar_tau_separated",
+          (*HAUS_SEMI, "zar_hausdorff"), ["zar_tau_separated"]),
+    _rule("sep.i_separated_implies_law_tau_separated",
+          (*HAUS_SEMI, "i_separated"), ["law_tau_separated"]),
+    _rule("sep.i_separated_implies_zar_tau_separated",
+          (*HAUS_SEMI, "i_separated"), ["zar_tau_separated"]),
+    _rule("sep.w_implies_law_tau_separated",
+          (*HAUS_SEMI, "is_w"), ["law_tau_separated"]),
+    _rule("sep.u_implies_v", (*HAUS_SEMI, "is_u"), ["is_v"]),
+    _rule("sep.v_implies_zar_tau_separated",
+          (*HAUS_SEMI, "is_v"), ["zar_tau_separated"]),
+    _rule("u.hausdorff_implies_i_separated", (*HAUS_SEMI, "is_u"), ["i_separated"]),
     # neighborhood separation properties
-    Rule("uw.equivalence", ("semitopological",), _check_uw_equivalence),
-    Rule(
-        "uw.finite_upper_nbhd_refines",
-        ("semitopological",),
-        _check_finite_upper_refines,
-    ),
-    Rule(
-        "v.t1_implies_zar_hausdorff",
-        ("semitopological", "is_v", "t1"),
-        _implies("zar_hausdorff"),
-    ),
-    Rule(
-        "v.down_chain_compact_equivalences",
-        ("semitopological", "down_chain_compact"),
-        _all_equal("Hausdorffness of the zar topology", _vc_conditions),
-    ),
+    _rule("uw.equivalence", SEMI, agree=["is_u", "is_w", "U on open upper sets"]),
+    Rule("uw.finite_upper_nbhd_refines", SEMI, _check_finite_upper_refines),
+    _rule("v.t1_implies_zar_hausdorff", (*SEMI, "is_v", "t1"), ["zar_hausdorff"]),
+    _rule("v.down_chain_compact_equivalences", (*SEMI, "down_chain_compact"),
+          agree=["zar_hausdorff", "zar_tau_separated", "is_v and t1"]),
     # the closed-subsemigroup topology
-    Rule(
-        "zar.t0_iff",
-        ("subtopological",),
-        _all_equal(
-            "T0 for original vs zar",
-            lambda ctx: (
-                ctx.pv["t0"],
-                topo.separation_profile(ctx.comp.bundle.zar).t0,
-            ),
-        ),
-    ),
-    Rule(
-        "zar.t1_iff",
-        (),
-        _all_equal(
-            "T1 for original vs zar",
-            # a finite T1 space is discrete, so zar is T1 iff it is Hausdorff
-            lambda ctx: (ctx.pv["t1"], ctx.pv["zar_hausdorff"]),
-        ),
-    ),
-    Rule(
-        "zar.compact_iff_centered",
-        (),
-        _implies("zar_compact_centered"),
-    ),
-    Rule(
-        "zar.updown_closed_equivalences",
-        ("updown_closed",),
-        _all_equal("completeness/compactness", _cc_conditions),
-    ),
-    Rule(
-        "sep.law_hausdorff_witness_characterization",
-        (),
-        _check_witnesses("law_hausdorff", props.law_hausdorff_witness),
-    ),
-    Rule(
-        "sep.zar_hausdorff_witness_characterization",
-        (),
-        _check_witnesses("zar_hausdorff", props.zar_hausdorff_witness),
-    ),
-    # equivalence bundles
-    Rule(
-        "complete.separation_equivalences",
-        ("semitopological", "complete"),
-        _all_equal("completeness separation", _final_conditions),
-    ),
-    Rule(
-        "complete.weak_lawson_zar_tau_chain",
-        HAUS_SEMI,
-        _check_diagram(
-            (("weak", "lawson"), ("lawson", "zar"), ("zar", "tau"))
-        ),
-    ),
-    Rule("lawson.compact_iff_complete", (), _implies("complete", "chain_compact")),
-    Rule("order.meet_continuity_holds", (), _implies("meet_continuous")),
+    _rule("zar.t0_iff", ("subtopological",), agree=["t0", "zar t0"]),
+    # a finite T1 space is discrete, so zar is T1 iff it is Hausdorff
+    _rule("zar.t1_iff", (), agree=["t1", "zar_hausdorff"]),
+    _rule("zar.compact_iff_centered", (), ["zar_compact_centered"]),
+    _rule("zar.updown_closed_equivalences", ("updown_closed",),
+          agree=["complete", "zar_compact_centered", "chain_compact"]),
+    _rule("sep.law_hausdorff_witness_characterization",
+          agree=["law_hausdorff", "law_hausdorff witnesses for all pairs"]),
+    _rule("sep.zar_hausdorff_witness_characterization",
+          agree=["zar_hausdorff", "zar_hausdorff witnesses for all pairs"]),
+    # equivalence bundles.  The paper's "the Lawson topology is T2" is read
+    # as tau being discrete: read literally ("lawson t2"), it holds on every
+    # finite poset, and the rule fails on each non-discrete instance.
+    _rule("complete.separation_equivalences", (*SEMI, "complete"),
+          agree=["zar_hausdorff", "weak_hausdorff", "i_separated", "is_v and t1",
+                 "t0 and weak = zar", "weak = lawson = zar", "discrete"]),
+    _rule("complete.weak_lawson_zar_tau_chain", HAUS_SEMI,
+          ["weak within lawson", "lawson within zar", "zar within tau"]),
+    _rule("lawson.compact_iff_complete", (), ["complete", "chain_compact"]),
+    _rule("order.meet_continuity_holds", (), ["meet_continuous"]),
     # order-topological lemmas
     Rule("chains.closure_of_chain_is_chain", ("updown_closed",), _check_chain_closures),
     Rule("scott.open_upper_sets_are_scott_open", (), _check_open_upper_scott),
-    Rule(
-        "chains.maxchain_contains_extrema", (), _check_maxchain_extrema, per_table=True
-    ),
+    Rule("chains.maxchain_contains_extrema", (), _check_maxchain_extrema,
+         per_table=True),
     Rule("scott.maxchain_gap_is_principal", (), _check_scott_gap),
-    Rule(
-        "order.maxchain_down_trace_principal", (), _check_trace("down"), per_table=True
-    ),
+    Rule("order.maxchain_down_trace_principal", (), _check_trace("down"),
+         per_table=True),
     Rule("order.maxchain_up_trace_principal", (), _check_trace("up"), per_table=True),
     # algebraic rules
-    Rule(
-        "shifts.homomorphic_iff_identities", (), _check_shift_identities, per_table=True
-    ),
-    Rule(
-        "shifts.law_zar_remain_semitopological",
-        ("shift_homomorphic", "semitopological"),
-        _check_shift_continuity("law", "zar"),
-    ),
-    Rule(
-        "shifts.weak_remains_semitopological",
-        ("shift_homomorphic", "semitopological"),
-        _check_shift_continuity("weak"),
-    ),
-    Rule(
-        "linear.weak_circ_and_bullet",
-        ("linear",),
-        _implies("weak_circ", "weak_bullet"),
-    ),
+    Rule("shifts.homomorphic_iff_identities", (), _check_shift_identities,
+         per_table=True),
+    _rule("shifts.law_zar_remain_semitopological", ("shift_homomorphic", *SEMI),
+          ["shifts continuous in law", "shifts continuous in zar"]),
+    _rule("shifts.weak_remains_semitopological", ("shift_homomorphic", *SEMI),
+          ["shifts continuous in weak"]),
+    _rule("linear.weak_circ_and_bullet", ("linear",), ["weak_circ", "weak_bullet"]),
 )
 
 SUB_RULE_IDS = (
@@ -841,6 +733,19 @@ PRODUCT_RULE_IDS = (
 )
 
 MAIN_RULE_ID = "compact_hausdorff.all_equivalent"
+# The fifteen conditions of the main equivalence (_main_phase).  Eight are
+# constants or tau's discreteness: "lawson t2" and is_w always hold, and the
+# three *_hausdorff and three *_separated fields are discreteness
+# (props.property_vector).
+MAIN_RULE = _rule(
+    MAIN_RULE_ID,
+    agree=[
+        "i_weak", "weak_circ", "weak_bullet", "weak = lawson", "lawson within law",
+        "law_hausdorff", "zar_hausdorff", "weak_hausdorff", "lawson t2",
+        "law_tau_separated", "zar_tau_separated", "i_separated",
+        "is_w", "is_u", "is_v",
+    ],
+)
 
 # rules evaluated by the per-instance loop of the sweep
 INSTANCE_RULE_IDS = tuple(r.id for r in PER_INSTANCE_RULES) + SUB_RULE_IDS
@@ -995,9 +900,8 @@ def _evaluate_instance(
     is returned.  sub_reports is the sub phase's memo for inst's table; a
     call without one starts its own."""
     comp = memo.comparison(inst)
-    pv = props.property_vector(inst, comp).as_dict()
-    poset, chains = _order_of(inst.algebra)
-    ctx = InstanceContext(inst, poset, chains, comp, pv)
+    ctx = _context(inst, comp)
+    pv = ctx.pv
     for rule in PER_INSTANCE_RULES:
         if not _want(rule_ids, rule.id):
             continue
@@ -1146,32 +1050,6 @@ def _product_phase(classes, rule_ids, stats, memo) -> None:
             _tally(stats, rule_ids, rule_id, verdict, weight, lines)
 
 
-def _main_conditions(inst, comp) -> tuple:
-    """The fifteen conditions of the main equivalence.  Eight of them are
-    constants or members of the property vector's discrete group: Lawson T2
-    and is_w always hold, and the three *_hausdorff and three *_separated
-    fields each equal discreteness (props.property_vector)."""
-    b = comp.bundle
-    pv = props.property_vector(inst, comp)
-    return (
-        pv.i_weak,
-        pv.weak_circ,
-        pv.weak_bullet,
-        b.weak == b.lawson,
-        weak.family_within(b.lawson, b.law),
-        pv.law_hausdorff,
-        pv.zar_hausdorff,
-        pv.weak_hausdorff,
-        True,  # Lawson T2: discrete on a finite poset (weak.lawson_topology)
-        pv.law_tau_separated,
-        pv.zar_tau_separated,
-        pv.i_separated,
-        pv.is_w,
-        pv.is_u,
-        pv.is_v,
-    )
-
-
 def _main_phase(classes, n_max: int, stats, memo) -> None:
     """Fifteen-way equivalence on finite discrete instances, which are
     exactly the compact Hausdorff ones, with n <= max(n_max, 4).  Every
@@ -1186,9 +1064,9 @@ def _main_phase(classes, n_max: int, stats, memo) -> None:
             for sl, aut in semilattice_classes(n)
         ]
     for inst, weight in reps:
-        values = _main_conditions(inst, memo.comparison(inst))
-        line = f"{_where(inst, weight)} :: conditions disagree: {values}"
-        _tally(stats, None, MAIN_RULE_ID, len(set(values)) == 1, weight, [line])
+        details = MAIN_RULE.check(_context(inst, memo.comparison(inst)))
+        lines = [f"{_where(inst, weight)} :: {d}" for d in details]
+        _tally(stats, None, MAIN_RULE_ID, not details, weight, lines)
 
 
 def sweep(

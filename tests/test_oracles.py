@@ -6,6 +6,8 @@ import functools
 import itertools
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -366,9 +368,10 @@ def test_law_hausdorff_witness_matches_opens_route():
 
 
 def test_main_conditions_match_literal_routes():
-    """The main phase's fifteen conditions, read off the property vector,
-    against each condition's literal route.  The instances are not only the
-    discrete ones, on which all fifteen hold, so a misread field shows."""
+    """The main row's fifteen conditions (verify.MAIN_RULE), read off the
+    property vector and CONDITIONS, against each condition's literal route.
+    The instances are not only the discrete ones, on which all fifteen
+    hold, so a misread field shows."""
     disagreeing = 0
     for x in _witness_cases():
         comp = weak.topology_comparison(x)
@@ -395,7 +398,12 @@ def test_main_conditions_match_literal_routes():
             uvw.is_u,
             uvw.is_v,
         )
-        assert verify._main_conditions(x, comp) == literal, verify._describe(x)
+        ctx = verify._context(x, comp)
+        values = tuple(
+            verify.CONDITIONS[c](ctx) if c in verify.CONDITIONS else ctx.pv[c]
+            for c in verify.MAIN_RULE.agree
+        )
+        assert values == literal, verify._describe(x)
         disagreeing += len(set(literal)) > 1
     assert disagreeing > 0
 
@@ -534,6 +542,34 @@ def test_package_never_imports_oracles():
             continue
         imported = _imported_modules(ast.parse(path.read_text(encoding="utf-8")))
         assert "topsl.oracles" not in imported, f"{path.name} imports topsl.oracles"
+
+
+# modules that import topsl must not load: each would add to every cold
+# start of the CLI (hashlib is imported inside canonical_hash, on purpose)
+UNLOADED_BY_IMPORT = (
+    "hashlib",
+    "dataclasses",
+    "inspect",
+    "subprocess",
+    "concurrent.futures",
+    "multiprocessing",
+    "topsl.oracles",
+)
+
+
+def test_import_topsl_loads_no_costly_module():
+    src = str(pathlib.Path(topsl.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "import topsl\n"
+        "print(' '.join(sys.modules))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    )
+    loaded = set(run.stdout.split())
+    assert "topsl.verify" in loaded and "topsl.cli" in loaded
+    assert loaded.isdisjoint(UNLOADED_BY_IMPORT), loaded & set(UNLOADED_BY_IMPORT)
 
 
 # defined in the package but never named by it, each for its reason

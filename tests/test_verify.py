@@ -552,7 +552,109 @@ def test_a_failed_structural_inclusion_is_a_diagram_violation(monkeypatch):
     monkeypatch.setattr(weak, "zar_topology", lambda x: topo.discrete(x.n))
     rule = verify.sweep(2).rules["diagram.weak_within_zar_within_tau"]
     assert len(rule.violations) == 3
-    assert all("zar not within tau" in v for v in rule.violations)
+    wording = ":: expected zar within tau to hold"
+    assert all(v.endswith(wording) for v in rule.violations)
+
+
+def test_a_failed_agree_row_names_each_condition_with_its_value(monkeypatch):
+    # t1 and t0 part on the 2-chain's two Sierpinski topologies, two classes
+    rule_id = "zar.t1_iff"
+    forced = verify._rule(rule_id, agree=["t1", "t0"])
+    monkeypatch.setattr(verify, "PER_INSTANCE_RULES", (forced,))
+    stats = verify.sweep(2, rule_ids=[rule_id]).rules[rule_id]
+    classes = verify.instance_classes(2)
+    sierpinski = [x for x, _ in classes if len(x.topology.opens) == 3]
+    assert len(sierpinski) == 2
+    assert stats.violations == [
+        f"{verify._describe(x)} orbit=2 :: conditions disagree: t1=False, t0=True"
+        for x in sierpinski
+    ]
+
+
+# the per-instance rule ids, in table order
+PER_INSTANCE_RULE_IDS = (
+    "diagram.weak_within_law_within_tau",
+    "diagram.weak_within_zar_within_tau",
+    "diagram.interval_within_lawson",
+    "sep.weak_circ_implies_law_hausdorff",
+    "sep.i_weak_implies_weak_circ",
+    "sep.i_weak_implies_weak_bullet",
+    "sep.i_weak_implies_weak_hausdorff",
+    "sep.weak_bullet_implies_zar_hausdorff",
+    "sep.weak_hausdorff_implies_law_hausdorff",
+    "sep.weak_hausdorff_implies_zar_hausdorff",
+    "sep.weak_hausdorff_iff_i_separated",
+    "sep.law_hausdorff_implies_law_tau_separated",
+    "sep.zar_hausdorff_implies_zar_tau_separated",
+    "sep.i_separated_implies_law_tau_separated",
+    "sep.i_separated_implies_zar_tau_separated",
+    "sep.w_implies_law_tau_separated",
+    "sep.u_implies_v",
+    "sep.v_implies_zar_tau_separated",
+    "u.hausdorff_implies_i_separated",
+    "uw.equivalence",
+    "uw.finite_upper_nbhd_refines",
+    "v.t1_implies_zar_hausdorff",
+    "v.down_chain_compact_equivalences",
+    "zar.t0_iff",
+    "zar.t1_iff",
+    "zar.compact_iff_centered",
+    "zar.updown_closed_equivalences",
+    "sep.law_hausdorff_witness_characterization",
+    "sep.zar_hausdorff_witness_characterization",
+    "complete.separation_equivalences",
+    "complete.weak_lawson_zar_tau_chain",
+    "lawson.compact_iff_complete",
+    "order.meet_continuity_holds",
+    "chains.closure_of_chain_is_chain",
+    "scott.open_upper_sets_are_scott_open",
+    "chains.maxchain_contains_extrema",
+    "scott.maxchain_gap_is_principal",
+    "order.maxchain_down_trace_principal",
+    "order.maxchain_up_trace_principal",
+    "shifts.homomorphic_iff_identities",
+    "shifts.law_zar_remain_semitopological",
+    "shifts.weak_remains_semitopological",
+    "linear.weak_circ_and_bullet",
+)
+
+
+def test_rule_table_resolves():
+    """Every hypothesis is a PropertyVector field, every condition a row
+    names is a field or a CONDITIONS key, every CONDITIONS key is read by
+    some row, and the ids are unique and in their order."""
+    fields = set(props.PROPERTY_NAMES)
+    assert not fields & set(verify.CONDITIONS)  # a key would hide a field
+    read = set()
+    for rule in verify.PER_INSTANCE_RULES + (verify.MAIN_RULE,):
+        assert set(rule.hypotheses) <= fields, rule.id
+        names = set(rule.holds + rule.agree)
+        assert names <= fields | set(verify.CONDITIONS), rule.id
+        read |= names
+    assert set(verify.CONDITIONS) <= read  # no dead entry
+    ids = tuple(r.id for r in verify.PER_INSTANCE_RULES)
+    assert len(set(ids)) == len(ids)
+    assert ids == PER_INSTANCE_RULE_IDS
+    # the rows that list their own witnesses keep a check of their own
+    own = [r.id for r in verify.PER_INSTANCE_RULES if not (r.holds or r.agree)]
+    assert len(own) == 8
+
+
+def test_literal_lawson_t2_breaks_the_completeness_equivalence(monkeypatch):
+    """complete.separation_equivalences reads the paper's "the Lawson
+    topology is T2" as tau's discreteness.  Read literally, as "lawson t2",
+    which holds on every finite poset, the rule fails on 31 classes with
+    n <= 3, the first the 2-chain under the Sierpinski topology."""
+    rule_id = "complete.separation_equivalences"
+    rule = next(r for r in verify.PER_INSTANCE_RULES if r.id == rule_id)
+    assert not verify.sweep(3, rule_ids=[rule_id]).rules[rule_id].violations
+    assert "discrete" in rule.agree
+    agree = ["lawson t2" if c == "discrete" else c for c in rule.agree]
+    literal = verify._rule(rule_id, rule.hypotheses, agree=agree)
+    monkeypatch.setattr(verify, "PER_INSTANCE_RULES", (literal,))
+    violations = verify.sweep(3, rule_ids=[rule_id]).rules[rule_id].violations
+    assert len(violations) == 31
+    assert violations[0].startswith("n=2 table=(0, 0, 0, 1) opens=(0, 1, 3) orbit=2 ::")
 
 
 def test_search_finds_strictness_witness():
