@@ -56,14 +56,17 @@ def _set_label(names) -> str:
 
 
 def _resolve(index: dict, names, where) -> list[int]:
-    """The index of each name; where(k) says where an unknown k-th name is."""
-    out = []
-    for k, v in enumerate(names):
-        i = index.get(v) if isinstance(v, str) else None
-        if i is None:
-            raise InstanceFormatError(f"unknown name {v!r} {where(k)}")
-        out.append(i)
-    return out
+    """The index of each name; where(k) says where the first unknown (or
+    non-string) k-th name is."""
+    try:
+        return [index[v] for v in names]
+    except (KeyError, TypeError):  # TypeError: an unhashable list or object
+        k, v = next(
+            (k, v)
+            for k, v in enumerate(names)
+            if not isinstance(v, str) or v not in index
+        )
+        raise InstanceFormatError(f"unknown name {v!r} {where(k)}") from None
 
 
 def parse_document(text: str) -> InstanceDocument:
@@ -255,53 +258,66 @@ def _json_block(items, depth: int, brackets: str) -> str:
     return f"{brackets[0]}{pad}{(',' + pad).join(items)}\n{'  ' * depth}{brackets[1]}"
 
 
-def _check_json(pv: dict, comp: weak.ComparisonReport, names) -> str:
-    """json.dumps(report, indent=2) of the check report, written directly so
-    that each distinct open set and each distinct topology is encoded once:
-    lawson and interval are one discrete topology listing every subset, and
-    the other five topologies reuse those masks."""
-    enc = json.encoder.encode_basestring_ascii
-    quoted = [enc(name) for name in names]
-    # one open set in the layout _json_block(..., 3, "[]") gives
-    pad = "\n" + "  " * 4
-    sep, close = "," + pad, "\n" + "  " * 3 + "]"
-    encoded = {0: "[]"}
-    blocks = {}  # equal topologies share a block
-    for top in comp.bundle:
-        if top in blocks:
-            continue
-        for u in top.opens:
-            if u not in encoded:
-                encoded[u] = f"[{pad}{sep.join([quoted[i] for i in bits(u)])}{close}"
-        blocks[top] = _json_block([encoded[u] for u in top.opens], 2, "[]")
-    topologies = [
-        f"{enc(k)}: {blocks[top]}" for k, top in comp.bundle.as_dict().items()
-    ]
-    flag = {True: "true", False: "false"}
-    fields = [
+# The check report's fixed text, built once: the whole document as one %
+# template whose slots are the 27 property flags (in sorted key order), the
+# topologies block and the inclusion block.
+_enc = json.encoder.encode_basestring_ascii
+_FLAG = ("false", "true")
+_PROPERTY_FIELDS = sorted(
+    range(len(props.PROPERTY_NAMES)), key=props.PROPERTY_NAMES.__getitem__
+)
+_REPORT = _json_block(
+    [
         f'"schema_version": {SCHEMA_VERSION}',
         '"properties": '
-        + _json_block([f"{enc(k)}: {flag[pv[k]]}" for k in sorted(pv)], 1, "{}"),
-        '"topologies": ' + _json_block(topologies, 1, "{}"),
-        '"inclusion_order": '
-        + _json_block([enc(k) for k in weak.TOPOLOGY_NAMES], 1, "[]"),
-        '"inclusion": '
         + _json_block(
-            [_json_block([flag[v] for v in row], 2, "[]") for row in comp.inclusion],
-            1,
-            "[]",
+            [f"{_enc(props.PROPERTY_NAMES[i])}: %s" for i in _PROPERTY_FIELDS], 1, "{}"
         ),
-    ]
-    return _json_block(fields, 0, "{}")
+        '"topologies": %s',
+        '"inclusion_order": ' + _json_block(map(_enc, weak.TOPOLOGY_NAMES), 1, "[]"),
+        '"inclusion": %s',
+    ],
+    0,
+    "{}",
+)
+_TOPOLOGY_KEYS = [f"{_enc(k)}: " for k in weak.TOPOLOGY_NAMES]
+_ROW = _json_block(["%s"] * len(weak.TOPOLOGY_NAMES), 2, "[]")
+
+
+def _check_json(pv: props.PropertyVector, comp: weak.ComparisonReport, names) -> str:
+    """json.dumps(report, indent=2) of the check report, written directly.
+    Every subset is encoded by doubling, as core._bits_table lists indices:
+    the text of u | 1 << i is the text of u with name i added before its
+    close.  lawson and interval list every subset, and the other five
+    topologies reuse those strings; each distinct topology (by its minimal
+    tuple) and each distinct inclusion row is rendered once."""
+    pad = "\n" + "  " * 4  # one open set's names, as _json_block(..., 3, "[]")
+    close = "\n" + "  " * 3 + "]"
+    encoded = ["[]"]  # every subset, by bitmask
+    for q in map(_enc, names):
+        more = f",{pad}{q}{close}"
+        encoded += [f"[{pad}{q}{close}"] + [u[: -len(close)] + more for u in encoded[1:]]
+    blocks = {}
+    for top in comp.bundle:
+        if top.minimal not in blocks:
+            blocks[top.minimal] = _json_block(map(encoded.__getitem__, top.opens), 2, "[]")
+    topologies = _json_block(
+        [k + blocks[top.minimal] for k, top in zip(_TOPOLOGY_KEYS, comp.bundle)], 1, "{}"
+    )
+    rows = {row: _ROW % tuple(map(_FLAG.__getitem__, row)) for row in set(comp.inclusion)}
+    inclusion = _json_block(map(rows.__getitem__, comp.inclusion), 1, "[]")
+    flags = [_FLAG[pv[i]] for i in _PROPERTY_FIELDS]
+    return _REPORT % (*flags, topologies, inclusion)
 
 
 def _cmd_check(args) -> int:
     inst, names = _load_named_instance(args.file)
     comp = weak.topology_comparison(inst)
-    pv = props.property_vector(inst, comp).as_dict()
+    pv = props.property_vector(inst, comp)
     if args.format == "json":
         print(_check_json(pv, comp, names))
         return 0
+    pv = pv.as_dict()
     width = max(len(k) for k in pv)
     print("properties:")
     for k in sorted(pv):

@@ -37,22 +37,24 @@ def uvw_profile(x_instance: tsl.TopologizedSemigroup) -> UVWProfile:
     Checking V = M_x suffices, as M_x lies within every open V around x.
     W: the same with a nonempty finite F within V and int(up F) in place of
     int(up v); it always holds, with F = V, as V is open and V lies within
-    up V.  oracles.uvw_profile_by_scan scans every open V (and every F)."""
+    up V.  V: every x not below y lies in some int(up v) with v not below y.
+    x is in int(up v) iff M_x lies within up v, that is iff v is below every
+    point of M_x; so covers[x], the AND of the down sets of the points of
+    M_x, holds the v whose int(up v) holds x.
+    oracles.uvw_profile_by_scan scans every open V (and every F)."""
     alg, top = x_instance.algebra, x_instance.topology
     if not alg.is_semilattice:
         raise NotASemilatticeError("U/W/V profile needs a semilattice")
-    poset = derived(alg, natural_order)
-    n = alg.n
-    int_up = upper_interiors(x_instance)
-    is_u = all(
-        any(int_up[v] >> x & 1 for v in bits(m)) for x, m in enumerate(top.minimal)
-    )
-    is_v = all(
-        any(not poset.leq(v, y) and int_up[v] >> x & 1 for v in range(n))
-        for x in range(n)
-        for y in range(n)
-        if not poset.leq(x, y)
-    )
+    downs = derived(alg, natural_order).downs
+    full = full_mask(alg.n)
+    covers = []
+    for m in top.minimal:
+        c = full
+        for y in bits(m):
+            c &= downs[y]
+        covers.append(c)
+    is_u = all(map(int.__and__, covers, top.minimal))
+    is_v = all(covers[x] & ~down for down in downs for x in bits(full ^ down))
     return UVWProfile(is_u, True, is_v)
 
 

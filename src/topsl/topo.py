@@ -24,14 +24,10 @@ from .core import TOPOLOGY_PRODUCT_MAX, Frozen, bits, cached, full_mask, mask_of
 def _minimal(n: int, sets) -> tuple[int, ...]:
     """For each point, the AND of the given sets that contain it (the full
     set when none does)."""
-    sets = list(sets)
-    out = []
-    for x in range(n):
-        bit, m = 1 << x, full_mask(n)
-        for s in sets:
-            if s & bit:
-                m &= s
-        out.append(m)
+    out = [full_mask(n)] * n
+    for s in sets:
+        for x in bits(s):
+            out[x] &= s
     return tuple(out)
 
 
@@ -68,8 +64,22 @@ class FiniteTopology(Frozen):
         return frozenset(opens)
 
     @cached
+    def point_closures(self) -> tuple[int, ...]:
+        """The closure {x : y in M_x} of each point y; the closure of a set
+        is the OR of its points' closures."""
+        out = [0] * self.n
+        for x, m in enumerate(self.minimal):
+            for y in bits(m):
+                out[y] |= 1 << x
+        return tuple(out)
+
+    @cached
     def opens(self) -> tuple[int, ...]:
-        """The open sets, ascending by bitmask."""
+        """The open sets, ascending by bitmask.  M_x holds x, so the sum of
+        the M_x is at least the full mask, with equality iff every M_x is
+        {x}: the discrete topology, whose opens are every subset."""
+        if sum(self.minimal) == full_mask(self.n):
+            return tuple(range(1 << self.n))
         return tuple(sorted(self._open_set))
 
     def is_open(self, s: int) -> bool:
@@ -133,13 +143,17 @@ def generate_topology(n: int, subbase) -> FiniteTopology:
 
 def hull(top: FiniteTopology, s: int, mode: str) -> int:
     """Closure (smallest closed superset) or interior (largest open subset):
-    closure(s) = {x : M_x meets s}, interior(s) = union of the M_x within s."""
+    closure(s) = {x : M_x meets s}, the OR of the point closures of s, and
+    interior(s) = union of the M_x within s."""
     if s & ~full_mask(top.n):
         raise ValueError("subset leaves the carrier")
+    out = 0
     if mode == "closure":
-        return mask_of(x for x, m in enumerate(top.minimal) if m & s)
+        pc = top.point_closures
+        for y in bits(s):
+            out |= pc[y]
+        return out
     if mode == "interior":
-        out = 0
         for m in top.minimal:
             if m & ~s == 0:
                 out |= m

@@ -110,12 +110,17 @@ def continuity_profile(x_instance: TopologizedSemigroup) -> ContinuityProfile:
     and continuity of -*y gives ay in M_xy, so M_ay lies within M_xy; the
     converse takes a = x or b = y.  No commutativity is needed.
     oracles.joint_continuity_by_minimal tests every M_x x M_y, and
-    oracles.joint_continuity_via_product every open."""
+    oracles.joint_continuity_via_product every open.  The closure of every
+    subset is built by doubling from the point closures, as topo.hull ORs
+    them."""
     alg, top = x_instance.algebra, x_instance.topology
     semitopological = translations_continuous(x_instance)
     subs = derived(alg, subsemigroups)
     known = frozenset(subs)
-    subtopological = all(topo.closure(top, s) in known for s in subs)
+    closures = [0]
+    for c in top.point_closures:
+        closures += [u | c for u in closures]
+    subtopological = all(closures[s] in known for s in subs)
     return ContinuityProfile(semitopological, semitopological, subtopological)
 
 

@@ -9,7 +9,7 @@ the natural order.
 
 from __future__ import annotations
 
-from operator import and_
+from operator import and_, lshift
 from typing import NamedTuple
 
 from . import topo, tsl
@@ -17,9 +17,11 @@ from .core import (
     FinitePoset,
     Frozen,
     NotASemilatticeError,
+    bits,
     cached,
     derived,
     full_mask,
+    mask_of,
     natural_order,
 )
 
@@ -49,17 +51,22 @@ def multiplicative_cuts(x_instance: tsl.TopologizedSemigroup) -> list[int]:
     level sets are clopen and multiplicatively biconditional, and conversely
     each such S is the support of a two-valued continuous homomorphism.
     A cut is closed under the operation, so the candidates are the table's
-    subsemigroups, in their ascending order; oracles.multiplicative_cuts_by_scan
+    subsemigroups, in their ascending order; a subsemigroup s is a cut iff no
+    product with a factor x outside s lands in s, that is iff products[x],
+    the row and column of x, misses s.  oracles.multiplicative_cuts_by_scan
     walks every subset and oracles.multiplicative_cuts_by_opens every open set.
     """
     alg, top = x_instance.algebra, x_instance.topology
-    t, rng = alg.table, range(alg.n)
+    t, full = alg.table, full_mask(alg.n)
+    products = [mask_of(row) for row in t]
+    if not alg.is_commutative:  # then a column adds to its row
+        products = [p | mask_of(col) for p, col in zip(products, zip(*t))]
     return [
         s
         for s in derived(alg, tsl.subsemigroups)
         if top.is_open(s)
         and top.is_closed(s)
-        and all((s >> t[x][y] & 1) == (s >> x & s >> y & 1) for x in rng for y in rng)
+        and not any(products[x] & s for x in bits(full ^ s))
     ]
 
 
@@ -127,14 +134,18 @@ class ComparisonReport(Frozen):
     def inclusion(self) -> tuple[tuple[bool, ...], ...]:
         """inclusion[i][j]: family i within family j, in TOPOLOGY_NAMES
         order; built on first read (topsl check reads it, a sweep never).
-        Each topology's M_x are packed into one int, M_x at bit n*x, so
-        family_within is one AND for each of the 49 cells."""
+        Each distinct topology's M_x are packed once into one int, M_x at
+        bit n*x, so family_within is one AND per cell, and each distinct
+        row is built once: lawson and interval are one topology."""
         n = self.bundle.tau.n
-        packed = [
-            sum(m << n * x for x, m in enumerate(getattr(self.bundle, name).minimal))
-            for name in TOPOLOGY_NAMES
-        ]
-        return tuple(tuple(b & ~a == 0 for b in packed) for a in packed)
+        shifts = range(0, n * n, n)
+        packed = {}
+        for top in self.bundle:
+            if top.minimal not in packed:
+                packed[top.minimal] = sum(map(lshift, top.minimal, shifts))
+        cols = [packed[top.minimal] for top in self.bundle]
+        rows = {a: tuple(b & ~a == 0 for b in cols) for a in packed.values()}
+        return tuple(rows[a] for a in cols)
 
 
 def family_within(a: topo.FiniteTopology, b: topo.FiniteTopology) -> bool:

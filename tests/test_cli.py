@@ -63,6 +63,14 @@ def test_parse_errors():
         cli.parse_instance(doc_text(meet=[["z", ["z"]], ["z", "u"]]))
     with pytest.raises(cli.InstanceFormatError, match=r"unknown name \{'u': 1\} in open set 1"):
         cli.parse_instance(doc_text(opens=[[], [{"u": 1}], ["z", "u"]]))
+    # a JSON scalar is never a name either; each is worded by its repr
+    for value, shown in ((1, "1"), (True, "True"), (None, "None"), (1.5, "1.5")):
+        with pytest.raises(cli.InstanceFormatError) as exc:
+            cli.parse_instance(doc_text(meet=[["z", "z"], [value, "u"]]))
+        assert str(exc.value) == f"unknown name {shown} at table[1][0]"
+        with pytest.raises(cli.InstanceFormatError) as exc:
+            cli.parse_instance(doc_text(opens=[[], ["u"], ["z", "u", value]]))
+        assert str(exc.value) == f"unknown name {shown} in open set 2"
     for version in (True, 1.0):
         with pytest.raises(cli.InstanceFormatError, match=f"got {version}"):
             cli.parse_instance(doc_text(schema_version=version))
@@ -418,6 +426,35 @@ def test_check_json_matches_json_dumps_byte_for_byte(tmp_path, capsys):
         want = json.dumps(_check_report(x, names), indent=2) + "\n"
         assert capsys.readouterr().out == want
     assert "\\u00e9" in want and '"q\\""' in want and "\\t" in want
+
+
+# names that json.dumps must escape: quotes, backslashes, non-ASCII
+# (including outside the BMP) and control characters
+_ODD_NAMES = st.lists(
+    st.text(
+        st.sampled_from('"\\/\t\n\x00\x1f\x7fé€𝄞') | st.characters(exclude_categories=("Cs",)),
+        min_size=1,
+        max_size=4,
+    ),
+    min_size=10,
+    max_size=10,
+    unique=True,
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(x=large_instances(6, 10), names=_ODD_NAMES)
+def test_check_json_matches_json_dumps_past_enum_max(x, names):
+    # n = 6..10: lawson and interval list all 2**n subsets, each encoded by
+    # doubling from the names
+    names = names[: x.n]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp, "x.json")
+        path.write_text(cli.serialize(x, names), encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["check", str(path), "--format", "json"]) == 0
+    assert out.getvalue() == json.dumps(_check_report(x, names), indent=2) + "\n"
 
 
 def _meet_doc(table):

@@ -7,6 +7,8 @@ from topsl.core import bits, full_mask, mask_of, subsets
 from topsl.oracles import saturate_family
 from topsl.verify import enumerate_topologies
 
+from helpers import large_instances
+
 SIERPINSKI = topo.canonical(2, [0, 0b10, 0b11])
 TOPOLOGIES_UP_TO_4 = {n: enumerate_topologies(n) for n in (1, 2, 3, 4)}
 
@@ -101,20 +103,39 @@ def test_closure_interior_duality():
             assert topo.closure(top, s) & s == s
 
 
+def _closure_by_scan(top, s):
+    """The AND of the closed sets that hold s."""
+    out = full_mask(top.n)
+    for c in (full_mask(top.n) ^ u for u in top.opens):
+        if s & ~c == 0:
+            out &= c
+    return out
+
+
 def test_closure_and_interior_match_literal_scans():
-    for n in (1, 2, 3):
-        for top in enumerate_topologies(n):
+    # all 355 topologies on 4 points: closure ORs the point closures
+    for n in (1, 2, 3, 4):
+        for top in TOPOLOGIES_UP_TO_4[n]:
             for s in subsets(n):
-                smallest_closed = full_mask(n)
-                for c in (full_mask(n) ^ u for u in top.opens):
-                    if s & ~c == 0:
-                        smallest_closed &= c
                 largest_open = 0
                 for u in top.opens:
                     if u & ~s == 0:
                         largest_open |= u
-                assert topo.closure(top, s) == smallest_closed
+                assert topo.closure(top, s) == _closure_by_scan(top, s)
                 assert topo.interior(top, s) == largest_open
+    assert len(TOPOLOGIES_UP_TO_4[4]) == 355
+
+
+@settings(max_examples=30, deadline=None)
+@given(x=large_instances(6, 10), data=st.data())
+def test_closure_matches_closed_set_scan_past_enum_max(x, data):
+    top = x.topology
+    assert top.point_closures == tuple(
+        _closure_by_scan(top, 1 << y) for y in range(top.n)
+    )
+    masks = st.integers(0, full_mask(top.n))
+    for s in data.draw(st.lists(masks, min_size=1, max_size=16)):
+        assert topo.closure(top, s) == _closure_by_scan(top, s)
 
 
 @settings(max_examples=150, deadline=None)
