@@ -177,19 +177,16 @@ def _open_covers(top: topo.FiniteTopology) -> list[tuple[int, int]]:
 
 
 def _hasse_edges(poset: FinitePoset) -> list[tuple[int, int]]:
-    edges = []
-    for x in range(poset.n):
-        for y in range(poset.n):
-            if x == y or not poset.leq(x, y):
-                continue
-            if any(
-                poset.leq(x, z) and poset.leq(z, y)
-                for z in range(poset.n)
-                if z not in (x, y)
-            ):
-                continue
-            edges.append((x, y))
-    return edges
+    """The covering pairs (x, y) of poset: y covers x iff y != x and the
+    interval up x & down y is {x, y}.  oracles.hasse_edges_by_scan tries
+    every z in between."""
+    up, downs = poset.up, poset.downs
+    return [
+        (x, y)
+        for x in range(poset.n)
+        for y in bits(up[x])
+        if y != x and up[x] & downs[y] == 1 << x | 1 << y
+    ]
 
 
 def export_dot(obj, names=None) -> str:
@@ -198,28 +195,21 @@ def export_dot(obj, names=None) -> str:
     for topologies."""
     if isinstance(obj, tsl.TopologizedSemigroup):
         return export_dot(natural_order(obj.algebra), names)
+    if not isinstance(obj, (FinitePoset, topo.FiniteTopology)):
+        raise TypeError(f"cannot export {type(obj).__name__} as DOT")
+    if names is None:
+        names = [f"e{i}" for i in range(obj.n)]
     if isinstance(obj, FinitePoset):
-        if names is None:
-            names = [f"e{i}" for i in range(obj.n)]
-        lines = ["digraph order {"]
-        for i in range(obj.n):
-            lines.append(f'  n{i} [label="{names[i]}"];')
-        for x, y in sorted(_hasse_edges(obj)):
-            lines.append(f"  n{x} -> n{y};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    if isinstance(obj, topo.FiniteTopology):
-        if names is None:
-            names = [f"e{i}" for i in range(obj.n)]
-        lines = ["digraph opens {"]
-        for i, u in enumerate(obj.opens):
-            label = _set_label(names[e] for e in bits(u))
-            lines.append(f'  n{i} [label="{label}"];')
-        for x, y in sorted(_open_covers(obj)):
-            lines.append(f"  n{x} -> n{y};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    raise TypeError(f"cannot export {type(obj).__name__} as DOT")
+        graph, edges = "order", _hasse_edges(obj)
+        labels = [names[i] for i in range(obj.n)]
+    else:
+        graph, edges = "opens", _open_covers(obj)
+        labels = [_set_label(names[e] for e in bits(u)) for u in obj.opens]
+    lines = [f"digraph {graph} {{"]
+    lines += [f'  n{i} [label="{label}"];' for i, label in enumerate(labels)]
+    lines += [f"  n{x} -> n{y};" for x, y in sorted(edges)]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +230,8 @@ def _read_file(path: str) -> str:
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(USAGE_EXIT)
+    except UnicodeDecodeError as exc:  # a ValueError: exits VALIDATION_EXIT
+        raise ValueError(f"cannot read {path} as UTF-8: {exc}") from None
 
 
 def _load_named_instance(path: str):
@@ -386,18 +378,15 @@ def _cmd_derive(args) -> int:
 def _cmd_enumerate(args) -> int:
     if args.what == "topologies":
         items = verify.enumerate_topologies(args.n)
-        if args.count_only:
-            print(len(items))
-        else:
-            for top in items:
-                print(json.dumps([sorted(bits(u)) for u in top.opens]))
+        rows = ([sorted(bits(u)) for u in top.opens] for top in items)
     else:
         items = verify.enumerate_semilattices(args.n)
-        if args.count_only:
-            print(len(items))
-        else:
-            for sl in items:
-                print(json.dumps([list(row) for row in sl.table]))
+        rows = ([list(row) for row in sl.table] for sl in items)
+    if args.count_only:
+        print(len(items))
+    else:
+        for row in rows:
+            print(json.dumps(row))
     return 0
 
 

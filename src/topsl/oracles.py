@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from . import cli, props, topo, tsl, verify
+from . import props, topo, tsl, verify
 from .core import (
     FinitePoset,
     FiniteSemigroup,
@@ -360,6 +360,13 @@ def i_separated_by_cuts(x_instance: tsl.TopologizedSemigroup, cuts) -> bool:
     )
 
 
+def upper_interiors(x_instance: tsl.TopologizedSemigroup) -> list[int]:
+    """The interior of the principal upper set up v of each point v: the
+    transpose of props.upper_covers."""
+    top = x_instance.topology
+    return [topo.interior(top, up) for up in derived(x_instance.algebra, natural_order).up]
+
+
 def uvw_profile_by_scan(x_instance: tsl.TopologizedSemigroup) -> props.UVWProfile:
     """props.uvw_profile, checking U and W at every open set and W at every
     nonempty F within it."""
@@ -368,7 +375,7 @@ def uvw_profile_by_scan(x_instance: tsl.TopologizedSemigroup) -> props.UVWProfil
         raise NotASemilatticeError("U/W/V profile needs a semilattice")
     poset = derived(alg, natural_order)
     n = alg.n
-    int_up = [topo.interior(top, poset.up[v]) for v in range(n)]
+    int_up = upper_interiors(x_instance)
 
     def u_ok(v_set: int, x: int) -> bool:
         return any(int_up[v] >> x & 1 for v in bits(v_set))
@@ -587,7 +594,25 @@ def open_covers_by_scan(top: topo.FiniteTopology) -> list[tuple[int, int]]:
     rows = tuple(
         mask_of(index[v] for v in top.opens if u | v == v) for u in top.opens
     )
-    return cli._hasse_edges(FinitePoset(len(top.opens), rows))
+    return hasse_edges_by_scan(FinitePoset(len(top.opens), rows))
+
+
+def hasse_edges_by_scan(poset: FinitePoset) -> list[tuple[int, int]]:
+    """cli._hasse_edges: each pair x < y with no z strictly between them,
+    trying every z."""
+    edges = []
+    for x in range(poset.n):
+        for y in range(poset.n):
+            if x == y or not poset.leq(x, y):
+                continue
+            if any(
+                poset.leq(x, z) and poset.leq(z, y)
+                for z in range(poset.n)
+                if z not in (x, y)
+            ):
+                continue
+            edges.append((x, y))
+    return edges
 
 
 def family_within_by_opens(a: topo.FiniteTopology, b: topo.FiniteTopology) -> bool:

@@ -23,13 +23,20 @@ class UVWProfile(NamedTuple):
     is_v: bool
 
 
-def upper_interiors(x_instance: tsl.TopologizedSemigroup) -> tuple[int, ...]:
-    """The interior of the principal upper set up v of each point v, in
-    point order."""
-    top = x_instance.topology
-    return tuple(
-        topo.interior(top, up) for up in derived(x_instance.algebra, natural_order).up
-    )
+def upper_covers(x_instance: tsl.TopologizedSemigroup) -> list[int]:
+    """For each point x, the mask of the points v with x in int(up v).  x is
+    in int(up v) iff M_x lies within up v, that is iff v is below every
+    point of M_x, so covers[x] is the AND of the down sets of the points of
+    M_x.  oracles.upper_interiors takes the interior of each up v."""
+    downs = derived(x_instance.algebra, natural_order).downs
+    full = full_mask(x_instance.n)
+    covers = []
+    for m in x_instance.topology.minimal:
+        c = full
+        for y in bits(m):
+            c &= downs[y]
+        covers.append(c)
+    return covers
 
 
 def uvw_profile(x_instance: tsl.TopologizedSemigroup) -> UVWProfile:
@@ -38,21 +45,14 @@ def uvw_profile(x_instance: tsl.TopologizedSemigroup) -> UVWProfile:
     W: the same with a nonempty finite F within V and int(up F) in place of
     int(up v); it always holds, with F = V, as V is open and V lies within
     up V.  V: every x not below y lies in some int(up v) with v not below y.
-    x is in int(up v) iff M_x lies within up v, that is iff v is below every
-    point of M_x; so covers[x], the AND of the down sets of the points of
-    M_x, holds the v whose int(up v) holds x.
+    Both read covers[x] (upper_covers), the v whose int(up v) holds x.
     oracles.uvw_profile_by_scan scans every open V (and every F)."""
     alg, top = x_instance.algebra, x_instance.topology
     if not alg.is_semilattice:
         raise NotASemilatticeError("U/W/V profile needs a semilattice")
     downs = derived(alg, natural_order).downs
     full = full_mask(alg.n)
-    covers = []
-    for m in top.minimal:
-        c = full
-        for y in bits(m):
-            c &= downs[y]
-        covers.append(c)
+    covers = upper_covers(x_instance)
     is_u = all(map(int.__and__, covers, top.minimal))
     is_v = all(covers[x] & ~down for down in downs for x in bits(full ^ down))
     return UVWProfile(is_u, True, is_v)

@@ -439,10 +439,10 @@ def _witnessed(witness):
 
 def _u_on_open_upper_sets(ctx: InstanceContext) -> bool:
     """Each point x of an open upper set u is inside the interior of the
-    upper set of some point of u."""
-    int_up = props.upper_interiors(ctx.inst)
+    upper set of some point of u: covers[x] (props.upper_covers) meets u."""
+    covers = props.upper_covers(ctx.inst)
     return all(
-        any(int_up[y] >> x & 1 for y in bits(u))
+        covers[x] & u
         for u in ctx.inst.topology.opens
         if cone(ctx.poset, u, "up") == u
         for x in bits(u)
@@ -524,12 +524,12 @@ def _rule(rule_id: str, hypotheses=(), holds=(), agree=()) -> Rule:
 
 def _check_finite_upper_refines(ctx: InstanceContext) -> list[str]:
     inst, poset = ctx.inst, ctx.poset
-    int_up = props.upper_interiors(inst)
+    covers = props.upper_covers(inst)
     out = []
     for f in range(1, 1 << inst.n):
         inner = topo.interior(inst.topology, cone(poset, f, "up"))
         for x in bits(inner):
-            if not any(int_up[e] >> x & 1 for e in bits(f)):
+            if not covers[x] & f:
                 out.append(f"no single generator of upper set {f:#x} works at {x}")
     return out
 
@@ -747,12 +747,10 @@ MAIN_RULE = _rule(
     ],
 )
 
-# rules evaluated by the per-instance loop of the sweep
-INSTANCE_RULE_IDS = tuple(r.id for r in PER_INSTANCE_RULES) + SUB_RULE_IDS
-
-ALL_RULE_IDS = tuple(
-    sorted(INSTANCE_RULE_IDS + HOM_RULE_IDS + PRODUCT_RULE_IDS + (MAIN_RULE_ID,))
-)
+ALL_RULE_IDS = tuple(sorted(
+    [r.id for r in PER_INSTANCE_RULES]
+    + [*SUB_RULE_IDS, *HOM_RULE_IDS, *PRODUCT_RULE_IDS, MAIN_RULE_ID]
+))
 
 
 # ---------------------------------------------------------------------------
@@ -876,10 +874,6 @@ class SweepMemo:
         return comp
 
 
-def _want(rule_ids, rule_id: str) -> bool:
-    return rule_ids is None or rule_id in rule_ids
-
-
 def _where(inst: tsl.TopologizedSemigroup, weight: int) -> str:
     """How a violation line names a class: its representative and orbit."""
     return f"{_describe(inst)} orbit={weight}"
@@ -887,27 +881,23 @@ def _where(inst: tsl.TopologizedSemigroup, weight: int) -> str:
 
 def _evaluate_instance(
     inst: tsl.TopologizedSemigroup,
-    rule_ids,
+    rules,
     memo: SweepMemo,
     weight: int,
     stats: dict,
-    sub_reports: Optional[dict] = None,
+    sub_reports: dict,
 ) -> dict:
-    """Every selected per-instance and sub rule on inst, each counted weight
-    times: inst stands for its labeled orbit of that size.  The details of a
-    per-table rule are decided once per table and named with each class that
-    has them.  stats holds the tallies (rule id -> RuleStats) to add to, and
-    is returned.  sub_reports is the sub phase's memo for inst's table; a
-    call without one starts its own."""
+    """The rows of rules, and the sub rules that stats tallies, on inst,
+    each counted weight times: inst stands for its labeled orbit of that
+    size.  The details of a per-table rule are decided once per table and
+    named with each class that has them.  stats holds a tally (rule id ->
+    RuleStats) for each rule to evaluate, and is returned.  sub_reports is
+    the sub phase's memo for inst's table."""
     comp = memo.comparison(inst)
     ctx = _context(inst, comp)
     pv = ctx.pv
-    for rule in PER_INSTANCE_RULES:
-        if not _want(rule_ids, rule.id):
-            continue
-        s = stats.get(rule.id)
-        if s is None:
-            s = stats[rule.id] = RuleStats()
+    for rule in rules:
+        s = stats[rule.id]
         for h in rule.hypotheses:
             if not pv[h]:
                 s.vacuous += weight
@@ -920,21 +910,18 @@ def _evaluate_instance(
                 details = rule.check(ctx)
             if details:
                 s.violations.extend(f"{_where(inst, weight)} :: {d}" for d in details)
-    if any(_want(rule_ids, rid) for rid in SUB_RULE_IDS):
-        reports = {} if sub_reports is None else sub_reports
-        _evaluate_sub_rules(inst, comp, pv, stats, rule_ids, memo, weight, reports)
+    if not stats.keys().isdisjoint(SUB_RULE_IDS):
+        _evaluate_sub_rules(inst, comp, pv, stats, memo, weight, sub_reports)
     return stats
 
 
-def _tally(stats, rule_ids, rule_id, verdict, weight, violations) -> None:
-    """Count one evaluation of a selected rule weight times: vacuous when
-    verdict is None, applied otherwise, with the violation lines added when
-    verdict is false."""
-    if not _want(rule_ids, rule_id):
-        return
+def _tally(stats, rule_id, verdict, weight, violations) -> None:
+    """Count one evaluation of a rule weight times, if stats tallies it:
+    vacuous when verdict is None, applied otherwise, with the violation
+    lines added when verdict is false."""
     s = stats.get(rule_id)
     if s is None:
-        s = stats[rule_id] = RuleStats()
+        return
     if verdict is None:
         s.vacuous += weight
         return
@@ -960,7 +947,7 @@ _SUB_LINES = ("subsemigroup {:#x} loses the property",) * 3 + (
 )
 
 
-def _evaluate_sub_rules(inst, comp, pv, stats, rule_ids, memo, weight, reports) -> None:
+def _evaluate_sub_rules(inst, comp, pv, stats, memo, weight, reports) -> None:
     """SUB_RULE_IDS over every nonempty subsemigroup s of inst, counted
     weight times each.  The raw trace (M_x & s for x in s) fixes the
     subspace on s, and s itself, the union of its entries, so reports, the
@@ -986,7 +973,7 @@ def _evaluate_sub_rules(inst, comp, pv, stats, rule_ids, memo, weight, reports) 
     count = weight * len(subs)
     for rule_id, applied, lost, line in zip(SUB_RULE_IDS, applies, failed, _SUB_LINES):
         lines = [f"{_where(inst, weight)} :: {line.format(s)}" for s in lost]
-        _tally(stats, rule_ids, rule_id, not lost if applied else None, count, lines)
+        _tally(stats, rule_id, not lost if applied else None, count, lines)
 
 
 # the clause each of HOM_RULE_IDS audits, as the audit's details end
@@ -995,7 +982,7 @@ _CLAUSES = ("continuity", "openness", "closedness", "embedding")
 _PRODUCT_LINES = ("product loses the property",) * 3 + ("zar/weak do not factorize",)
 
 
-def _hom_phase(classes, rule_ids, stats, memo) -> None:
+def _hom_phase(classes, stats, memo) -> None:
     """Every continuous hom between two class representatives counts w_a*w_b
     times: each labeled hom between members of the two orbits is conjugate
     to exactly one hom between the representatives."""
@@ -1019,10 +1006,10 @@ def _hom_phase(classes, rule_ids, stats, memo) -> None:
                         f"to [{_describe(b)} orbit={wb}]"
                     )
                     lines = [f"{where} :: {d}" for d in audit.details if d.endswith(clause)]
-                _tally(stats, rule_ids, rule_id, verdict, wa * wb, lines)
+                _tally(stats, rule_id, verdict, wa * wb, lines)
 
 
-def _product_phase(classes, rule_ids, stats, memo) -> None:
+def _product_phase(classes, stats, memo) -> None:
     """Every unordered pair of class representatives, the same one twice
     included.  Any product of members of two orbits is isomorphic to the
     representatives' product, so a pair of two classes counts w_a*w_b times
@@ -1047,7 +1034,7 @@ def _product_phase(classes, rule_ids, stats, memo) -> None:
             if verdict is False:
                 where = f"product of [{_describe(a)} orbit={wa}] and [{_describe(b)} orbit={wb}]"
                 lines = [f"{where} :: {lost}"]
-            _tally(stats, rule_ids, rule_id, verdict, weight, lines)
+            _tally(stats, rule_id, verdict, weight, lines)
 
 
 def _main_phase(classes, n_max: int, stats, memo) -> None:
@@ -1066,7 +1053,7 @@ def _main_phase(classes, n_max: int, stats, memo) -> None:
     for inst, weight in reps:
         details = MAIN_RULE.check(_context(inst, memo.comparison(inst)))
         lines = [f"{_where(inst, weight)} :: {d}" for d in details]
-        _tally(stats, None, MAIN_RULE_ID, not details, weight, lines)
+        _tally(stats, MAIN_RULE_ID, not details, weight, lines)
 
 
 def sweep(
@@ -1075,7 +1062,9 @@ def sweep(
     threads: int = 1,
 ) -> SweepReport:
     """Evaluate every rule over all topology x semilattice pairings up to
-    n_max, plus the cross-instance phases.
+    n_max, plus the cross-instance phases.  rule_ids (all by default) is
+    resolved here, once, into a tally per rule and the selected rows of
+    PER_INSTANCE_RULES; a phase runs only if it has a tally to add to.
 
     Every property and rule is invariant under relabeling the carrier, so
     the per-instance loop and the main phase evaluate one instance per
@@ -1093,29 +1082,30 @@ def sweep(
         raise ValueError("threads must be positive")
     if threads > THREADS_MAX:
         raise ValueError(f"threads must be at most {THREADS_MAX}, got {threads}")
-    if rule_ids is not None:
-        rule_ids = frozenset(rule_ids)
-        unknown = rule_ids - set(ALL_RULE_IDS)
-        if unknown:
-            raise ValueError(f"unknown rule ids: {sorted(unknown)}")
+    selected = frozenset(ALL_RULE_IDS if rule_ids is None else rule_ids)
+    unknown = selected.difference(ALL_RULE_IDS)
+    if unknown:
+        raise ValueError(f"unknown rule ids: {sorted(unknown)}")
+    # a tally for each selected rule: every phase adds only to these
+    stats = {rule_id: RuleStats() for rule_id in sorted(selected)}
+    rules = [r for r in PER_INSTANCE_RULES if r.id in stats]
     classes = instance_classes(n_max)
-    stats: dict = {}
     memo = SweepMemo()
     # the phases first, so that the loop finds the reports they computed
     small = [(x, weight) for x, weight in classes if x.n <= 2]
-    if any(_want(rule_ids, rid) for rid in HOM_RULE_IDS):
-        _hom_phase(small, rule_ids, stats, memo)
-    if any(_want(rule_ids, rid) for rid in PRODUCT_RULE_IDS):
-        _product_phase(small, rule_ids, stats, memo)
-    if _want(rule_ids, MAIN_RULE_ID):
+    if not stats.keys().isdisjoint(HOM_RULE_IDS):
+        _hom_phase(small, stats, memo)
+    if not stats.keys().isdisjoint(PRODUCT_RULE_IDS):
+        _product_phase(small, stats, memo)
+    if MAIN_RULE_ID in stats:
         _main_phase(classes, n_max, stats, memo)
-    if any(_want(rule_ids, rid) for rid in INSTANCE_RULE_IDS):
+    if rules or not stats.keys().isdisjoint(SUB_RULE_IDS):
         table, sub_reports = None, {}
         for inst, weight in classes:
             # drop a table's sub reports on moving on to the next table
             if inst.algebra != table:
                 table, sub_reports = inst.algebra, {}
-            _evaluate_instance(inst, rule_ids, memo, weight, stats, sub_reports)
+            _evaluate_instance(inst, rules, memo, weight, stats, sub_reports)
             if inst.n == n_max:
                 # its own sub phase, through the whole carrier, read the
                 # report last: sub-instances are smaller, the phases done

@@ -163,6 +163,20 @@ def test_export_dot_open_covers_match_inclusion_scan(monkeypatch):
     assert fast == [cli.export_dot(t) for t in tops]
 
 
+def test_hasse_edges_match_the_scan_of_every_triple():
+    posets = [p for n in range(1, 6) for p in verify.enumerate_posets(n)]
+    assert len(posets) == 1 + 3 + 19 + 219 + 4231
+    for poset in posets:
+        assert cli._hasse_edges(poset) == oracles.hasse_edges_by_scan(poset)
+
+
+@settings(max_examples=30, deadline=None)
+@given(x=large_instances())
+def test_hasse_edges_match_the_scan_past_enum_max(x):
+    poset = natural_order(x.algebra)
+    assert cli._hasse_edges(poset) == oracles.hasse_edges_by_scan(poset)
+
+
 def test_export_dot_diamond_hasse():
     diamond = FinitePoset(4, (0b1111, 0b1010, 0b1100, 0b1000))
     dot = cli.export_dot(diamond)
@@ -299,6 +313,37 @@ def test_cmd_sweep_rules_file(tmp_path, capsys):
     assert cli.main(["sweep", "--n-max", "1", "--rules", str(rules)]) == 0
     out = capsys.readouterr().out
     assert "rule diagram.interval_within_lawson: applied=1" in out
+
+
+def test_cmd_sweep_rules_file_ignores_comments_and_repeats(tmp_path, capsys):
+    once, repeated = tmp_path / "once.txt", tmp_path / "repeated.txt"
+    once.write_text("sub.weak_circ_inherited\n")
+    repeated.write_text(
+        "# the sub rule\nsub.weak_circ_inherited\n\n  # again\n"
+        "  sub.weak_circ_inherited  \n"
+    )
+    outputs = []
+    for path in (once, repeated):
+        assert cli.main(["sweep", "--n-max", "2", "--rules", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("\nrule ") == 1
+
+
+def test_file_that_is_not_utf8_is_named(instance_file, tmp_path, capsys):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe[]")
+    generated = ["--topology", "generated", "--subbase", str(binary)]
+    reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    for argv in (
+        ["check", str(binary)],
+        ["derive", instance_file, *generated],
+        ["sweep", "--n-max", "1", "--rules", str(binary)],
+    ):
+        assert cli.main(argv) == cli.VALIDATION_EXIT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot read {binary} as UTF-8: {reason}\n"
 
 
 def test_cmd_search(capsys):

@@ -71,6 +71,14 @@ def _uvw(x, comp):
     assert props.uvw_profile(x) == oracles.uvw_profile_by_scan(x)
 
 
+def _upper_covers(x, comp):
+    interiors = oracles.upper_interiors(x)
+    assert props.upper_covers(x) == [
+        sum(1 << v for v, inner in enumerate(interiors) if inner >> p & 1)
+        for p in range(x.n)
+    ]
+
+
 def _is_continuous(x, comp):
     t, n = x.algebra.table, x.n
     maps = [t[a] for a in range(n)] + [tuple(reversed(range(n))), (0,) * n]
@@ -110,6 +118,7 @@ FAST_PATHS = {
     "discrete_group": _discrete_group,
     "joint_continuity": _joint_continuity,
     "uvw_profile": _uvw,
+    "upper_covers": _upper_covers,
     "is_continuous": _is_continuous,
     "translations_continuous": _translations,
     "subtopological": _subtopological,

@@ -104,6 +104,19 @@ def test_sweep_rule_filter_and_validation():
         verify.sweep(5)
 
 
+def test_each_selected_rule_renders_its_line_of_the_full_sweep():
+    full = verify.sweep(2).render().splitlines()
+    head, total = full[:2], full[-1]
+    assert head == ["sweep n_max=2", "instances checked: 9"]
+    assert total == "total violations: 0"
+    assert len(verify.ALL_RULE_IDS) == 56
+    for rule_id in verify.ALL_RULE_IDS:
+        (line,) = [ln for ln in full if ln.startswith(f"rule {rule_id}: ")]
+        only = verify.sweep(2, rule_ids=[rule_id]).render()
+        assert only == "\n".join([*head, line, total]) + "\n", rule_id
+    assert verify.sweep(2, rule_ids=[]).render() == "\n".join([*head, total]) + "\n"
+
+
 def test_sweep_skips_instance_loop_for_cross_instance_rules(monkeypatch):
     full = verify.sweep(3)
     in_hom, outside_hom = [False], [0]
@@ -153,21 +166,22 @@ def test_sweep_computes_each_bundle_once_per_call(monkeypatch):
         monkeypatch.setattr(module, name, counted)
     # at n_max = 4, 8 product lookups hit reports of 4-point classes, which
     # the loop drops after use: the phases must run before it
-    for n_max, comparisons, scott_max in ((3, 66, 12), (4, 1268, 13)):
+    for n_max, expected in (
+        (3, {"topology_comparison": 66, "scott_topology": 9, "separation_profile": 113}),
+        (4, {"topology_comparison": 1268, "scott_topology": 13, "separation_profile": 2175}),
+    ):
         counts.update(dict.fromkeys(counts, 0))
         verify.sweep(n_max)
-        # one per distinct instance: the class representatives and their
-        # sub-instances, the products of the n <= 2 class representatives,
-        # and the discrete main-phase representatives (66 over 9 tables at
-        # n_max = 3).  Order data is derived once per algebra object, and
-        # sub-algebras and products bring a few objects of their own
-        assert counts["topology_comparison"] == comparisons
-        assert counts["scott_topology"] <= scott_max
-        # one per property vector, one per applied zar.t0_iff check and one
-        # per product factor: the vector reads ten fields off tau's
-        # discreteness, not off the separation of law, zar and weak
-        if n_max == 4:
-            assert counts["separation_profile"] <= 2175
+        # topology_comparison: one per distinct instance, that is the class
+        # representatives and their sub-instances, the products of the
+        # n <= 2 class representatives, and the discrete main-phase
+        # representatives (66 over 9 tables at n_max = 3).  scott_topology:
+        # order data is derived once per algebra object, and sub-algebras
+        # and products bring a few objects of their own.
+        # separation_profile: one per property vector, one per applied
+        # zar.t0_iff check and one per product factor; the vector reads ten
+        # fields off tau's discreteness, not off law, zar and weak
+        assert counts == expected
         # no memo outlives a call: neither the reports nor the order data
         # derived on the sweep's algebra objects, so a second sweep redoes
         # all of it (a leak from the first would show as fewer Scott calls)
@@ -239,11 +253,14 @@ def test_class_representatives_are_first_of_their_class():
 
 def test_class_sweep_counts_match_labeled_oracle():
     memo = verify.SweepMemo()
-    labeled = {}
+    rules = verify.PER_INSTANCE_RULES
+    ids = [r.id for r in rules] + list(verify.SUB_RULE_IDS)
+    labeled = {rule_id: verify.RuleStats() for rule_id in ids}
     for x in verify.universe(3):
-        verify._evaluate_instance(x, None, memo, 1, labeled)
+        verify._evaluate_instance(x, rules, memo, 1, labeled, {})
     report = verify.sweep(3)
-    assert set(labeled) == set(verify.INSTANCE_RULE_IDS)
+    # every seeded tally was counted
+    assert all(rs.applied + rs.vacuous for rs in labeled.values())
     for rule_id, rs in labeled.items():
         got = report.rules[rule_id]
         assert (got.applied, got.vacuous) == (rs.applied, rs.vacuous), rule_id
@@ -257,10 +274,10 @@ def test_class_hom_and_product_counts_match_labeled_oracle():
     cross = verify.HOM_RULE_IDS + verify.PRODUCT_RULE_IDS
     for n_max in (1, 2, 3):
         memo = verify.SweepMemo()
-        labeled = {}
+        labeled = {rule_id: verify.RuleStats() for rule_id in cross}
         unit = [(x, 1) for x in verify.universe(min(n_max, 2))]
-        verify._hom_phase(unit, None, labeled, memo)
-        verify._product_phase(unit, None, labeled, memo)
+        verify._hom_phase(unit, labeled, memo)
+        verify._product_phase(unit, labeled, memo)
         report = verify.sweep(n_max, rule_ids=cross)
         assert set(labeled) == set(report.rules) == set(cross)
         for rule_id, rs in labeled.items():
